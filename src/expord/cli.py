@@ -3,7 +3,9 @@
 Commands read UTF-8 JSON documents whose numbers are exact rational strings
 and write a single JSON document to stdout.  Exit codes follow one contract
 everywhere: 0 means the queried relation holds or the computation succeeded,
-1 means the relation was certified false, and 2 means the input was invalid.
+1 means the relation was certified false, 2 means the input was invalid, and
+3 means one of the library's own certificate checks failed (a defect in
+expord, never a verdict).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .experiments import DecisionProblem, Experiment, Prior, dilute
 from .numerics import (
     INFEASIBLE,
     OPTIMAL,
+    InternalError,
     InvalidInput,
     dual_program,
     farkas_verifies,
@@ -605,6 +608,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except InternalError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

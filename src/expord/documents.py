@@ -275,7 +275,9 @@ def load_document(filename: str):
     try:
         with open(filename, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except json.JSONDecodeError as error:
+    except UnicodeDecodeError as error:
+        raise InvalidInput(f"{filename}: not UTF-8 text ({error})") from None
+    except ValueError as error:  # malformed JSON, or a number with too many digits
         raise InvalidInput(f"{filename}: invalid JSON ({error})") from None
     return parse_document(raw, filename)
 

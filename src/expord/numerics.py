@@ -1,11 +1,16 @@
 """Exact rational arithmetic and an exact dense LP solver.
 
-Every quantity in this module is a ``fractions.Fraction``.  The solver is a
-two-phase primal simplex with Bland's anti-cycling rule, so it terminates on
-every input and never approximates.  Outcomes carry machine-checkable
-evidence: an optimal point, a Farkas certificate of infeasibility, or an
-unbounded ray.  The certificates are verified by substitution before they are
-returned, which keeps every caller honest.
+Inputs and outputs are ``fractions.Fraction``s: programs are stated and
+solutions, certificates and rays are returned in exact rationals.  The
+solver is a two-phase primal simplex with Bland's anti-cycling rule, so it
+terminates on every input and never approximates.  Its tableau holds Python
+integers over one shared positive denominator and pivots fraction-free
+(Bareiss), which gives the same pivots as a Fraction tableau without a gcd
+per entry.  Outcomes carry machine-checkable evidence: an optimal point, a
+Farkas certificate of infeasibility, or an unbounded ray.  The certificates
+are verified in Fractions by substitution into the caller's program before
+they are returned, which keeps every caller honest; a failed check raises
+:class:`InternalError` and survives ``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
 finite statistical experiments (tens of variables, tens of rows).  It makes
@@ -17,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -38,6 +44,10 @@ class InvalidInput(ValueError):
     """A malformed object or argument was rejected before any computation."""
 
 
+class InternalError(RuntimeError):
+    """The solver's own certificate check failed: a defect, not bad input."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``'a/b'`` or a finite decimal string into an exact Fraction.
 
@@ -50,13 +60,16 @@ def parse_rational(text: str) -> Fraction:
     stripped = text.strip()
     if not _RATIONAL_RE.match(stripped):
         raise InvalidInput(f"not a rational literal: {text!r}")
-    if "/" in stripped:
+    try:
+        if "/" not in stripped:
+            return Fraction(stripped)
         num_text, den_text = stripped.split("/")
-        den = int(den_text)
-        if den == 0:
-            raise InvalidInput(f"zero denominator: {text!r}")
-        return Fraction(int(num_text), den)
-    return Fraction(stripped)
+        num, den = int(num_text), int(den_text)
+    except ValueError as error:  # more digits than int() accepts from a string
+        raise InvalidInput(f"rational literal out of range: {error}") from None
+    if den == 0:
+        raise InvalidInput(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -259,76 +272,100 @@ def ray_verifies(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting."""
+    """Dense simplex tableau over integers with one shared denominator.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]) -> None:
+    Entry ``rows[i][j]`` stands for the rational ``rows[i][j] / d``, and so
+    does ``cost[j]``, the reduced-cost row of the current phase, which every
+    pivot updates along with the constraint rows.  ``d`` stays positive.  A
+    pivot is a fraction-free (Bareiss) step: each new entry is an exact
+    integer quotient by the old ``d``, and the pivot entry becomes the new
+    ``d``, so a pivot takes no gcd.  Pivoting is by Bland's rule.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
         self.rows = rows              # each row: coefficients + [rhs]
         self.basis = basis            # basis[i] = column basic in row i
         self.n_cols = len(rows[0]) - 1 if rows else 0
+        self.d = 1
+        self.cost: list[int] = []
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        reduced = list(cost)
-        for i, row in enumerate(self.rows):
-            basic_cost = cost[self.basis[i]]
-            if basic_cost == 0:
-                continue
-            for j in range(self.n_cols):
-                if row[j] != 0:
-                    reduced[j] -= basic_cost * row[j]
-        return reduced
+    def set_cost(self, cost: list[int]) -> None:
+        """Start a phase: price out the basic columns of integer costs ``cost``."""
+        d = self.d
+        reduced = [d * c for c in cost] + [0]
+        for row, col in zip(self.rows, self.basis):
+            basic_cost = cost[col]
+            if basic_cost:
+                reduced = [r - basic_cost * a for r, a in zip(reduced, row)]
+        self.cost = reduced
 
     def pivot(self, pivot_row: int, pivot_col: int) -> None:
-        row = self.rows[pivot_row]
-        factor = row[pivot_col]
-        if factor != 1:
-            self.rows[pivot_row] = row = [entry / factor for entry in row]
-        for i, other in enumerate(self.rows):
-            if i == pivot_row or other[pivot_col] == 0:
-                continue
-            scale = other[pivot_col]
-            self.rows[i] = [a - scale * b for a, b in zip(other, row)]
+        rows = self.rows
+        row = rows[pivot_row]
+        p = row[pivot_col]
+        if p < 0:
+            rows[pivot_row] = row = [-b for b in row]
+            p = -p
+        d = self.d
+        for i, other in enumerate(rows):
+            if i != pivot_row:
+                rows[i] = _eliminate(other, row, pivot_col, p, d)
+        self.cost = _eliminate(self.cost, row, pivot_col, p, d)
+        self.d = p
         self.basis[pivot_row] = pivot_col
 
-    def minimize(self, cost: list[Fraction], banned: frozenset[int]) -> tuple[str, int | None]:
+    def minimize(self, banned: frozenset[int]) -> tuple[str, int | None]:
         """Run Bland's rule to optimality or detect an unbounded column.
 
         Returns ("optimal", None) or ("unbounded", entering_column).
-        Entering choice: lowest-index column with negative reduced cost.
-        Leaving choice: lowest basic-variable index among minimum ratios.
+        Entering choice: lowest-index column with a negative entry in the
+        carried cost row (basic columns price out to exactly zero).  Leaving
+        choice: lowest basic-variable index among minimum ratios, compared
+        by cross-multiplication since both denominators are positive.
         """
-        basic = set(self.basis)
         while True:
-            reduced = self.reduced_costs(cost)
+            cost = self.cost
             entering = None
             for j in range(self.n_cols):
-                if j in banned or j in basic:
-                    continue
-                if reduced[j] < 0:
+                if cost[j] < 0 and j not in banned:
                     entering = j
                     break
             if entering is None:
                 return OPTIMAL, None
             pivot_row = None
-            best_ratio: Fraction | None = None
+            best_rhs = best_entry = 0
             for i, row in enumerate(self.rows):
-                if row[entering] <= 0:
+                entry = row[entering]
+                if entry <= 0:
                     continue
-                ratio = row[-1] / row[entering]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self.basis[i] < self.basis[pivot_row])
-                ):
-                    best_ratio = ratio
-                    pivot_row = i
+                if pivot_row is not None:
+                    lhs = row[-1] * best_entry
+                    rhs = best_rhs * entry
+                    if lhs > rhs:
+                        continue
+                    if lhs == rhs and self.basis[i] > self.basis[pivot_row]:
+                        continue
+                pivot_row, best_rhs, best_entry = i, row[-1], entry
             if pivot_row is None:
                 return UNBOUNDED, entering
-            basic.discard(self.basis[pivot_row])
-            basic.add(entering)
             self.pivot(pivot_row, entering)
 
     def basic_solution(self) -> dict[int, Fraction]:
-        return {self.basis[i]: self.rows[i][-1] for i in range(len(self.rows))}
+        d = self.d
+        return {col: Fraction(row[-1], d) for col, row in zip(self.basis, self.rows)}
+
+
+def _eliminate(row: list[int], pivot: list[int], col: int, p: int, d: int) -> list[int]:
+    """One row of a fraction-free pivot; every division is exact."""
+    f = row[col]
+    if f == 0:
+        return row if p == d else [p * a // d for a in row]
+    return [(p * a - f * b) // d for a, b in zip(row, pivot)]
+
+
+def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
+    """``scale * v`` for each ``v``, where ``scale`` clears every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -340,6 +377,15 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Farkas certificate read off the initial identity columns; otherwise
     phase two optimizes the true objective with artificials barred from
     re-entering the basis.
+
+    Every row is multiplied once by the LCM ``D`` of all row denominators,
+    so the simplex runs on integers; slacks and artificials stay unit
+    columns, of variables rescaled by ``D``.  Row scaling and a positive
+    cost scaling keep every sign and the order of every ratio, so the pivots
+    are exactly those of the same simplex over Fractions.  Only a ray along
+    an entering slack picks up the factor ``D``.  Each certificate is then
+    re-checked against ``lp`` itself, and a failed check raises
+    :class:`InternalError`.
     """
     n = lp.n_variables
     minimize = lp.sense == "min"
@@ -354,46 +400,45 @@ def solve(lp: LinearProgram) -> LpOutcome:
     n_struct = len(col_var)
 
     m = len(lp.rows)
+    # Lists, not generators: unpacking a generator grows a tuple by resizing,
+    # which leaves blocks parked on CPython's tuple free lists.
+    scale = lcm(*[v.denominator for coeffs, _r, rhs in lp.rows for v in (*coeffs, rhs)])
     flipped = [row[2] < 0 for row in lp.rows]
-    prepared: list[tuple[list[Fraction], str, Fraction]] = []
+    prepared: list[tuple[list[int], str, int]] = []
     for flip, (coeffs, relation, rhs) in zip(flipped, lp.rows):
+        *coeffs, rhs = _scaled((*coeffs, rhs), scale)
         if flip:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             relation = {LE: GE, GE: LE, EQ: EQ}[relation]
-        else:
-            coeffs = list(coeffs)
         prepared.append((coeffs, relation, rhs))
 
     n_slack = sum(1 for _c, relation, _r in prepared if relation != EQ)
     n_art = sum(1 for _c, relation, _r in prepared if relation != LE)
     n_cols = n_struct + n_slack + n_art
 
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
     init_col: list[int] = []      # identity column for each row, for duals
-    init_cost: list[Fraction] = []  # phase-one cost of that column
+    init_cost: list[int] = []     # phase-one cost of that column
     slack_at = n_struct
     art_at = n_struct + n_slack
-    zero = Fraction(0)
-    one = Fraction(1)
     for coeffs, relation, rhs in prepared:
-        row = [zero] * n_cols + [rhs]
+        row = [0] * n_cols + [rhs]
         for col, (var, sign) in enumerate(col_var):
-            if coeffs[var] != 0:
-                row[col] = sign * coeffs[var]
+            row[col] = sign * coeffs[var]
         if relation != EQ:
-            row[slack_at] = one if relation == LE else -one
+            row[slack_at] = 1 if relation == LE else -1
             slack_at += 1
         if relation == LE:
             basis.append(slack_at - 1)
             init_col.append(slack_at - 1)
-            init_cost.append(zero)
+            init_cost.append(0)
         else:
-            row[art_at] = one
+            row[art_at] = 1
             basis.append(art_at)
             init_col.append(art_at)
-            init_cost.append(one)
+            init_cost.append(1)
             art_at += 1
         rows.append(row)
 
@@ -402,7 +447,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     def extract_point() -> tuple[Fraction, ...]:
         values = tableau.basic_solution()
-        point = [zero] * n
+        point = [Fraction(0)] * n
         for col, value in values.items():
             if col < n_struct:
                 var, sign = col_var[col]
@@ -410,21 +455,22 @@ def solve(lp: LinearProgram) -> LpOutcome:
         return tuple(point)
 
     if m > 0:
-        phase1_cost = [one if j in artificial_cols else zero for j in range(n_cols)]
-        status, _ = tableau.minimize(phase1_cost, banned=frozenset())
-        assert status == OPTIMAL, "phase one is bounded below by zero"
+        tableau.set_cost([1 if j in artificial_cols else 0 for j in range(n_cols)])
+        status, _ = tableau.minimize(banned=frozenset())
+        if status != OPTIMAL:
+            raise InternalError("phase one, bounded below by zero, came back unbounded")
         residue = sum(
-            (tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols),
-            zero,
+            tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols
         )
         if residue > 0:
-            reduced = tableau.reduced_costs(phase1_cost)
+            d = tableau.d
             y = []
             for i in range(m):
-                multiplier = init_cost[i] - reduced[init_col[i]]
+                multiplier = Fraction(init_cost[i] * d - tableau.cost[init_col[i]], d)
                 y.append(-multiplier if flipped[i] else multiplier)
             y = tuple(y)
-            assert farkas_verifies(lp, y), "simplex produced a bad Farkas certificate"
+            if not farkas_verifies(lp, y):
+                raise InternalError("simplex produced a bad Farkas certificate")
             return LpOutcome(status=INFEASIBLE, farkas=y)
 
         # Drive any degenerate artificials out of the basis; a row whose
@@ -443,26 +489,29 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 del tableau.rows[i]
                 del tableau.basis[i]
 
-    phase2_cost = [zero] * n_cols
-    for col, (var, sign) in enumerate(col_var):
-        phase2_cost[col] = sign * cost_orig[var]
-    status, entering = tableau.minimize(phase2_cost, banned=artificial_cols)
+    phase2_cost = [sign * cost_orig[var] for var, sign in col_var]
+    cost_scale = lcm(*[c.denominator for c in phase2_cost])
+    tableau.set_cost(_scaled(phase2_cost, cost_scale) + [0] * (n_slack + n_art))
+    status, entering = tableau.minimize(banned=artificial_cols)
 
     if status == UNBOUNDED:
-        direction_std = {entering: one}
-        for i, row in enumerate(tableau.rows):
-            if row[entering] != 0:
-                direction_std[tableau.basis[i]] = -row[entering]
-        ray = [zero] * n
-        for col, value in direction_std.items():
-            if col < n_struct:
+        # A unit step of the rescaled slack D*s is a step of 1/D in s itself.
+        per_unit = scale if entering >= n_struct else 1
+        ray = [Fraction(0)] * n
+        if entering < n_struct:
+            var, sign = col_var[entering]
+            ray[var] += sign
+        for col, row in zip(tableau.basis, tableau.rows):
+            if col < n_struct and row[entering] != 0:
                 var, sign = col_var[col]
-                ray[var] += sign * value
+                ray[var] -= sign * Fraction(row[entering] * per_unit, tableau.d)
         ray = tuple(ray)
-        assert ray_verifies(lp, ray), "simplex produced a bad unbounded ray"
+        if not ray_verifies(lp, ray):
+            raise InternalError("simplex produced a bad unbounded ray")
         return LpOutcome(status=UNBOUNDED, x=extract_point(), ray=ray)
 
     point = extract_point()
-    assert solution_feasible(lp, point), "simplex produced an infeasible optimum"
+    if not solution_feasible(lp, point):
+        raise InternalError("simplex produced an infeasible optimum")
     value = evaluate_row(lp.objective, point)
     return LpOutcome(status=OPTIMAL, x=point, objective=value)

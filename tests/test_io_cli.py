@@ -1,7 +1,8 @@
 """JSON document round trips and the command-line surface.
 
 Exit-code contract: 0 when the queried relation or computation holds,
-1 when a check comes back certifiably false, 2 for input errors.
+1 when a check comes back certifiably false, 2 for input errors, 3 when
+one of the library's own certificate checks fails.
 """
 
 import json
@@ -24,6 +25,7 @@ from expord import (
     verify_certificate,
 )
 from expord import documents as docs
+from expord import numerics
 from expord.cli import run
 from expord.generators import (
     binary_symmetric,
@@ -416,6 +418,41 @@ class TestCliPlumbing:
         bad.write_text("{not json")
         code, _ = invoke(capsys, "check", "blackwell", str(bad), files["pi"])
         assert code == 2
+
+    def test_overlong_rational_string_exits_two(self, files, capsys, tmp_path):
+        doc = docs.experiment_to_doc(binary_symmetric("4/5"))
+        doc["matrix"][0][0] = "1" * 5000
+        path = tmp_path / "long_string.json"
+        path.write_text(json.dumps(doc))
+        code = run(["check", "weighted", str(path), files["pi"]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_overlong_bare_number_exits_two(self, files, capsys, tmp_path):
+        doc = docs.experiment_to_doc(binary_symmetric("4/5"))
+        doc["matrix"][0][0] = "TOKEN"
+        path = tmp_path / "long_number.json"
+        path.write_text(json.dumps(doc).replace('"TOKEN"', "1" * 5000))
+        code = run(["check", "weighted", str(path), files["pi"]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_file_exits_two(self, files, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "expérience"}'.encode("latin-1"))
+        code = run(["check", "weighted", str(path), files["pi"]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_self_check_exits_three(self, files, capsys, monkeypatch):
+        # An unordered pair makes the garbling LP infeasible, so its Farkas
+        # certificate is checked; a failing check is a defect, not a verdict.
+        monkeypatch.setattr(numerics, "farkas_verifies", lambda lp, y: False)
+        code = run(["check", "weighted", files["perfect"], files["uninf"]])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: simplex produced a bad Farkas certificate\n"
 
     def test_no_arguments_exits_two(self, capsys):
         assert run([]) == 2

@@ -5,6 +5,12 @@ substituting the solver's answer back into the constraints with Fraction
 arithmetic.  No tolerances anywhere.
 """
 
+import importlib
+import os
+import pkgutil
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +24,7 @@ from expord import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    InternalError,
     InvalidInput,
     as_rational,
     dual_program,
@@ -29,7 +36,10 @@ from expord import (
     solution_feasible,
     solve,
 )
-from expord.generators import random_lp
+import expord
+from expord import numerics
+from expord.generators import corpus_pairs, random_lp
+from reference_simplex import reference_solve
 
 F = Fraction
 
@@ -55,6 +65,12 @@ class TestParseRational:
     def test_non_numeric_rejected(self, bad):
         with pytest.raises(InvalidInput):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("template", ["{}", "1/{}", "{}/7", "0.{}"])
+    def test_too_many_digits_is_invalid_input(self, template):
+        # More digits than int() converts from a string by default (4300).
+        with pytest.raises(InvalidInput):
+            parse_rational(template.format("7" * 5000))
 
 
 class TestAsRational:
@@ -209,3 +225,110 @@ def test_random_lps_certify_their_status(seed):
     else:
         assert out.status == UNBOUNDED
         assert ray_verifies(lp, out.ray)
+
+
+# ------------------------------------------------ the integer tableau vs Fractions
+
+
+def _assert_same_outcomes(lps):
+    mismatched = [k for k, lp in enumerate(lps) if solve(lp) != reference_solve(lp)]
+    assert not mismatched, f"differs from the Fraction tableau at {mismatched[:10]}"
+
+
+def _corpus_lps(pairs: int) -> list:
+    """Every LP the order, belief and value calls solve on the first corpus pairs."""
+    captured = []
+    real = numerics.solve
+
+    def spy(lp):
+        captured.append(lp)
+        return real(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for info in pkgutil.iter_modules(expord.__path__):
+            module = importlib.import_module(f"expord.{info.name}")
+            if getattr(module, "solve", None) is real:
+                patch.setattr(module, "solve", spy)
+        for pi, prior, pi_prime in corpus_pairs(20250814, pairs):
+            weighted = expord.check_weighted(pi, pi_prime)
+            expord.check_blackwell(pi, pi_prime)
+            expord.min_size(pi, pi_prime)
+            expord.check_weighted_beliefs(pi, pi_prime, prior)
+            if weighted is not None:
+                expord.size_interval(pi, pi_prime)
+            else:
+                for beta in (1, 2, 4, 8):
+                    expord.falsify_bound(pi, pi_prime, beta)
+    return captured
+
+
+class TestAgainstFractionTableau:
+    """``solve`` must return exactly what the Fraction-tableau simplex returns."""
+
+    def test_random_programs(self):
+        rng = random.Random(7)
+        lps = [random_lp(rng, 6, 6) for _ in range(500)]
+        assert {solve(lp).status for lp in lps} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        _assert_same_outcomes(lps)
+
+    def test_corpus_programs(self):
+        lps = _corpus_lps(60)
+        assert len(lps) > 400
+        _assert_same_outcomes(lps)
+
+    def test_slack_entering_on_a_ray_with_fractional_rows(self):
+        # Rows are scaled by D = 6; the surplus of (1/2) x >= 1/3 enters in
+        # phase two with no leaving row, and x moves 2 per unit of surplus.
+        lp = linear_program(objective=[1], sense="max", rows=[([F(1, 2)], GE, F(1, 3))])
+        out = solve(lp)
+        assert out == reference_solve(lp)
+        assert out.status == UNBOUNDED
+        assert out.x == (F(2, 3),) and out.ray == (F(2),)
+
+    def test_negative_pivot_driving_out_a_degenerate_artificial(self, monkeypatch):
+        # Phase one starts optimal (x1 and x2 price positive) with the artificial
+        # of -x1 - 3 x2 = 0 basic at zero, and its first nonzero entry is -1.
+        lp = linear_program(
+            objective=[F(4, 3), F(1, 2), F(-1, 2)],
+            sense="min",
+            rows=[([-1, -3, 0], EQ, 0), ([F(5, 2), -1, 1], LE, 3)],
+        )
+        pivots = []
+        real_pivot = numerics._Tableau.pivot
+
+        def spy(tableau, row, col):
+            pivots.append(tableau.rows[row][col])
+            real_pivot(tableau, row, col)
+
+        monkeypatch.setattr(numerics._Tableau, "pivot", spy)
+        out = solve(lp)
+        assert any(p < 0 for p in pivots)
+        assert out == reference_solve(lp)
+        assert out.status == OPTIMAL
+        assert out.x == (0, 0, 3) and out.objective == F(-3, 2)
+
+
+def test_self_checks_survive_optimize_flag():
+    script = (
+        "import expord.numerics as numerics\n"
+        "numerics.farkas_verifies = lambda lp, y: False\n"
+        "lp = numerics.linear_program([0], [([1], '=', 1), ([1], '=', 0)])\n"
+        "try:\n"
+        "    numerics.solve(lp)\n"
+        "except numerics.InternalError as error:\n"
+        "    print('InternalError:', error)\n"
+        "print('debug:', __debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(expord.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "debug: False" in done.stdout
+    assert "InternalError: simplex produced a bad Farkas certificate" in done.stdout
+
+
+def test_internal_error_is_not_an_input_error():
+    assert not issubclass(InternalError, InvalidInput)
