@@ -12,12 +12,13 @@ from a failure, and converts a coupling back into a weight.
 """
 
 from expord import (
+    HullMembershipCertificate,
     check_weighted,
     check_weighted_beliefs,
     coupling_to_weight,
+    hull_decide,
     hull_membership,
     posteriors,
-    separating_functional,
     uniform_prior,
     verify_coupling,
 )
@@ -68,9 +69,9 @@ print("LP path agrees:", check_weighted(pi, pi_prime) is not None)
 # functional certifies the failure.
 sharp = binary_symmetric("9/10")
 outside = posteriors(sharp, mu).atoms[0].belief
+functional = hull_decide(outside, target.beliefs)
 print("\nsharp posterior", point(outside), "in 4/5 hull:",
-      hull_membership(outside, target.beliefs) is not None)
-functional = separating_functional(outside, target.beliefs)
+      isinstance(functional, HullMembershipCertificate))
 print("separating functional:", point(functional))
 margin = sum(h * x for h, x in zip(functional, outside))
 print("value at the point:", margin, "(positive, nonpositive on the hull)")

@@ -4,9 +4,11 @@ Under a full-support prior, an experiment induces a finite distribution over
 posterior beliefs.  Whether one experiment is a weighted garbling of another
 can be read off these objects alone: it holds exactly when every posterior of
 the coarser experiment lies in the convex hull of the finer one's posteriors,
-a prior-independent support condition.  Couplings between the two posterior
-distributions certify the relation quantitatively, and their worst
-likelihood ratio recovers a weight.
+a prior-independent support condition.  Each membership question is one LP,
+decided by :func:`hull_decide`, whose answer is evidence either way: convex
+coefficients inside the hull, a separating functional outside it.  Couplings
+between the two posterior distributions certify the relation quantitatively,
+and their worst likelihood ratio recovers a weight.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .numerics import (
     EQ,
     INFEASIBLE,
     OPTIMAL,
+    InternalError,
     InvalidInput,
     linear_program,
     solve,
@@ -78,10 +81,6 @@ class PosteriorDistribution:
     @property
     def beliefs(self) -> tuple[Belief, ...]:
         return tuple(atom.belief for atom in self.atoms)
-
-    def support_pairs(self) -> tuple[tuple[Belief, Fraction], ...]:
-        """(belief, probability) pairs, ignoring signal labels."""
-        return tuple((atom.belief, atom.probability) for atom in self.atoms)
 
 
 def posteriors(experiment: Experiment, mu0: Prior) -> PosteriorDistribution:
@@ -164,51 +163,47 @@ def _check_belief_dimensions(point: Belief, generators: Sequence[Belief]) -> Non
         raise InvalidInput("all points must share one state space")
 
 
-def hull_membership(
+def hull_decide(
     point: Belief, generators: Sequence[Belief]
-) -> HullMembershipCertificate | None:
-    """Exact convex-hull membership via LP feasibility.
+) -> HullMembershipCertificate | tuple[Fraction, ...]:
+    """Exact convex-hull membership, decided by one LP.
 
-    Returns coefficients (one choice among possibly many) or None when the
-    point lies outside the hull.
-    """
-    _check_belief_dimensions(point, generators)
-    outcome = _hull_lp(point, generators)
-    if outcome.status == INFEASIBLE:
-        return None
-    assert outcome.status == OPTIMAL
-    return HullMembershipCertificate(
-        point=tuple(point),
-        generators=tuple(tuple(g) for g in generators),
-        coefficients=outcome.x,
-    )
-
-
-def separating_functional(
-    point: Belief, generators: Sequence[Belief]
-) -> tuple[Fraction, ...] | None:
-    """A linear functional h with h . g <= 0 for all generators, h . point > 0.
-
-    Exists exactly when the point lies outside the hull; built from the
-    Farkas certificate of the membership LP.  The Farkas multipliers
-    (y, z) satisfy y . g_k + z <= 0 for every generator and
-    y . point + z > 0; since beliefs sum to one, h = y + z folds the offset
-    into the functional.
+    Inside the hull this returns convex coefficients (one choice among
+    possibly many).  Outside it returns a linear functional h with
+    h . g <= 0 for every generator and h . point > 0, built from the
+    Farkas certificate of the same LP: the multipliers (y, z) satisfy
+    y . g_k + z <= 0 for every generator and y . point + z > 0, and since
+    beliefs sum to one, h = y + z folds the offset into the functional.
+    Both separation inequalities are re-checked before returning.
     """
     _check_belief_dimensions(point, generators)
     outcome = _hull_lp(point, generators)
     if outcome.status == OPTIMAL:
-        return None
-    assert outcome.status == INFEASIBLE
+        return HullMembershipCertificate(
+            point=tuple(point),
+            generators=tuple(tuple(g) for g in generators),
+            coefficients=outcome.x,
+        )
+    if outcome.status != INFEASIBLE:
+        raise InternalError(f"hull membership program came back {outcome.status}")
     y = outcome.farkas
-    offset = y[-1]
-    h = tuple(y_t + offset for y_t in y[:-1])
-    assert all(
-        sum((h_t * g[t] for t, h_t in enumerate(h)), Fraction(0)) <= 0
-        for g in generators
-    )
-    assert sum((h_t * point[t] for t, h_t in enumerate(h)), Fraction(0)) > 0
+    z = y[-1]
+    h = tuple(y_t + z for y_t in y[:-1])
+
+    def pairing(belief: Belief) -> Fraction:
+        return sum((h_t * belief[t] for t, h_t in enumerate(h)), Fraction(0))
+
+    if any(pairing(g) > 0 for g in generators) or pairing(point) <= 0:
+        raise InternalError("hull Farkas certificate does not separate the point")
     return h
+
+
+def hull_membership(
+    point: Belief, generators: Sequence[Belief]
+) -> HullMembershipCertificate | None:
+    """The coefficients :func:`hull_decide` finds, or None outside the hull."""
+    decision = hull_decide(point, generators)
+    return decision if isinstance(decision, HullMembershipCertificate) else None
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from typing import Sequence
 from . import documents as docs
 from . import generators
 from .beliefs import (
+    HullMembershipCertificate,
     check_weighted_beliefs,
-    hull_membership,
+    hull_decide,
     posteriors,
-    separating_functional,
     verify_coupling,
 )
 from .dynamics import (
@@ -137,11 +137,11 @@ def _cmd_size_interval(args) -> int:
         _report(
             "size-interval",
             holds=True,
-            beta_min=docs.rational_str(interval.beta_min),
+            beta_min=str(interval.beta_min),
             beta_max=(
                 "unbounded"
                 if interval.beta_max is None
-                else docs.rational_str(interval.beta_max)
+                else str(interval.beta_max)
             ),
             witness_min=docs.certificate_to_doc(interval.witness_min),
             witness_max=(
@@ -185,7 +185,7 @@ def _cmd_posteriors(args) -> int:
     _emit(
         _report(
             "posteriors",
-            prior=[docs.rational_str(w) for w in mu0.weights],
+            prior=[str(w) for w in mu0.weights],
             states=list(experiment.states),
             atoms=[docs.atom_to_doc(atom) for atom in distribution.atoms],
         )
@@ -198,15 +198,13 @@ def _cmd_hull_check(args) -> int:
     generators_arg = [
         _parse_vector(part, "generators") for part in args.generators.split(";")
     ]
-    membership = hull_membership(point, generators_arg)
-    if membership is None:
-        functional = separating_functional(point, generators_arg)
-        assert functional is not None
+    decision = hull_decide(point, generators_arg)
+    if not isinstance(decision, HullMembershipCertificate):
         _emit(
             _report(
                 "hull-check",
                 holds=False,
-                separating_functional=[docs.rational_str(h) for h in functional],
+                separating_functional=[str(h) for h in decision],
                 note="the point lies outside the hull; the functional is "
                 "nonpositive on every generator and positive at the point",
             )
@@ -216,7 +214,7 @@ def _cmd_hull_check(args) -> int:
         _report(
             "hull-check",
             holds=True,
-            coefficients=[docs.rational_str(c) for c in membership.coefficients],
+            coefficients=[str(c) for c in decision.coefficients],
         )
     )
     return 0
@@ -237,8 +235,8 @@ def _cmd_beliefs_check(args) -> int:
             )
         )
         return 1
-    verification = verify_coupling(coupling, pi, pi_prime, mu0)
-    assert verification.ok, "emitted couplings must re-verify"
+    if not verify_coupling(coupling, pi, pi_prime, mu0):
+        raise InternalError("emitted couplings must re-verify")
     _emit(docs.coupling_to_doc(coupling))
     return 0
 
@@ -250,7 +248,7 @@ def _cmd_value(args) -> int:
     _emit(
         _report(
             "value",
-            value=docs.rational_str(total),
+            value=str(total),
             policy=dict(zip(table.signals, table.actions)),
         )
     )
@@ -266,11 +264,11 @@ def _cmd_bound_verify(args) -> int:
         _report(
             "bound-verify",
             holds=report.holds,
-            beta=docs.rational_str(report.beta),
-            value_prime=docs.rational_str(report.value_prime),
-            value_pi=docs.rational_str(report.value_pi),
-            value_noinfo=docs.rational_str(report.value_noinfo),
-            slack=docs.rational_str(report.slack),
+            beta=str(report.beta),
+            value_prime=str(report.value_prime),
+            value_pi=str(report.value_pi),
+            value_noinfo=str(report.value_noinfo),
+            slack=str(report.slack),
         )
     )
     return 0 if report.holds else 1
@@ -309,7 +307,7 @@ def _cmd_eta(args) -> int:
         _report(
             "eta",
             iterations=result.iterations,
-            gap=docs.rational_str(result.gap),
+            gap=str(result.gap),
             converged=result.converged,
             hull=docs.belief_list_doc(result.hull.points),
         )
@@ -327,9 +325,9 @@ def _cmd_merge_horizon(args) -> int:
         _report(
             "merge-horizon",
             horizon=report.horizon,
-            profile=[docs.rational_str(g) for g in report.profile],
+            profile=[str(g) for g in report.profile],
             monotone=report.monotone,
-            epsilon=docs.rational_str(report.epsilon),
+            epsilon=str(report.epsilon),
             n_max=report.n_max,
         )
     )
@@ -345,7 +343,7 @@ def _cmd_stopping(args) -> int:
         _report(
             "stopping",
             horizon=args.horizon,
-            value=docs.rational_str(stopping_value(stopping, experiment)),
+            value=str(stopping_value(stopping, experiment)),
         )
     )
     return 0
@@ -366,24 +364,17 @@ def _cmd_counterexample(args) -> int:
             )
         )
         return 0
-    problem, chain = found
-    values = []
-    for horizon in (1, 2, 3, 4):
-        stopping = StoppingProblem(problem=problem, chain=chain, horizon=horizon)
-        values.append(
-            {
-                "horizon": horizon,
-                "pi": docs.rational_str(stopping_value(stopping, pi)),
-                "pi_prime": docs.rational_str(stopping_value(stopping, pi_prime)),
-            }
-        )
+    problem, chain, values = found
     _emit(
         _report(
             "counterexample",
             found=True,
             problem=docs.decision_problem_to_doc(problem),
             chain=docs.chain_to_doc(chain),
-            values=values,
+            values=[
+                {"horizon": horizon, "pi": str(better), "pi_prime": str(worse)}
+                for horizon, better, worse in values
+            ],
         )
     )
     return 1

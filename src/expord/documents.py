@@ -20,10 +20,6 @@ from .numerics import InvalidInput, parse_rational
 from .order import ConditionalExperiment, GarblingCertificate
 
 
-def rational_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _fail(path: str, message: str) -> "InvalidInput":
     return InvalidInput(f"{path}: {message}")
 
@@ -78,7 +74,7 @@ def experiment_to_doc(experiment: Experiment) -> dict:
         "kind": "experiment",
         "states": list(experiment.states),
         "signals": list(experiment.signals),
-        "matrix": [[rational_str(p) for p in row] for row in experiment.matrix],
+        "matrix": [[str(p) for p in row] for row in experiment.matrix],
     }
 
 
@@ -97,7 +93,7 @@ def chain_to_doc(chain: MarkovChain) -> dict:
     return {
         "kind": "chain",
         "states": list(chain.states),
-        "transition": [[rational_str(p) for p in row] for row in chain.rows],
+        "transition": [[str(p) for p in row] for row in chain.rows],
     }
 
 
@@ -115,8 +111,8 @@ def decision_problem_to_doc(problem: DecisionProblem) -> dict:
     return {
         "kind": "decision_problem",
         "actions": list(problem.actions),
-        "payoffs": [[rational_str(u) for u in row] for row in problem.payoffs],
-        "prior": [rational_str(w) for w in problem.prior.weights],
+        "payoffs": [[str(u) for u in row] for row in problem.payoffs],
+        "prior": [str(w) for w in problem.prior.weights],
     }
 
 
@@ -140,10 +136,10 @@ def certificate_to_doc(certificate: GarblingCertificate) -> dict:
         "pi_prime": pi_prime_doc,
         "pi_digest": document_digest(pi_doc),
         "pi_prime_digest": document_digest(pi_prime_doc),
-        "psi": [[rational_str(v) for v in row] for row in certificate.psi],
-        "gamma": [rational_str(v) for v in certificate.gamma],
-        "phi": [[rational_str(v) for v in row] for row in certificate.phi],
-        "beta": rational_str(certificate.beta),
+        "psi": [[str(v) for v in row] for row in certificate.psi],
+        "gamma": [str(v) for v in certificate.gamma],
+        "phi": [[str(v) for v in row] for row in certificate.phi],
+        "beta": str(certificate.beta),
     }
 
 
@@ -180,8 +176,8 @@ def conditional_to_doc(conditional: ConditionalExperiment) -> dict:
         "kind": "conditional_experiment",
         "base": base_doc,
         "base_digest": document_digest(base_doc),
-        "event": [[rational_str(v) for v in row] for row in conditional.event],
-        "alpha": rational_str(conditional.alpha),
+        "event": [[str(v) for v in row] for row in conditional.event],
+        "alpha": str(conditional.alpha),
     }
 
 
@@ -203,8 +199,8 @@ def conditional_from_doc(doc: Any, path: str = "conditional_experiment") -> Cond
 def atom_to_doc(atom: PosteriorAtom) -> dict:
     return {
         "signals": list(atom.signals),
-        "belief": [rational_str(b) for b in atom.belief],
-        "probability": rational_str(atom.probability),
+        "belief": [str(b) for b in atom.belief],
+        "probability": str(atom.probability),
     }
 
 
@@ -219,11 +215,11 @@ def atom_from_doc(doc: Any, path: str) -> PosteriorAtom:
 def coupling_to_doc(coupling: CouplingCertificate) -> dict:
     return {
         "kind": "coupling",
-        "prior": [rational_str(w) for w in coupling.prior.weights],
+        "prior": [str(w) for w in coupling.prior.weights],
         "pi_atoms": [atom_to_doc(atom) for atom in coupling.pi_atoms],
         "pi_prime_atoms": [atom_to_doc(atom) for atom in coupling.pi_prime_atoms],
-        "matrix": [[rational_str(v) for v in row] for row in coupling.matrix],
-        "beta": rational_str(coupling.beta),
+        "matrix": [[str(v) for v in row] for row in coupling.matrix],
+        "beta": str(coupling.beta),
     }
 
 
@@ -279,6 +275,8 @@ def load_document(filename: str):
         raise InvalidInput(f"{filename}: not UTF-8 text ({error})") from None
     except ValueError as error:  # malformed JSON, or a number with too many digits
         raise InvalidInput(f"{filename}: invalid JSON ({error})") from None
+    except RecursionError:
+        raise InvalidInput(f"{filename}: JSON nested too deeply") from None
     return parse_document(raw, filename)
 
 
@@ -287,4 +285,4 @@ def dump_document(doc: dict) -> str:
 
 
 def belief_list_doc(beliefs: Sequence[Sequence[Fraction]]) -> list[list[str]]:
-    return [[rational_str(b) for b in belief] for belief in beliefs]
+    return [[str(b) for b in belief] for belief in beliefs]

@@ -22,13 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .beliefs import Belief, hull_membership, posteriors, separating_functional
+from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
 from .experiments import DecisionProblem, Experiment, Prior
 from .numerics import (
     EQ,
     GE,
     LE,
     OPTIMAL,
+    InternalError,
     InvalidInput,
     RationalLike,
     as_rational,
@@ -38,6 +39,11 @@ from .numerics import (
 from .order import check_weighted
 
 Tolerance = Union[RationalLike, float]
+
+# Deepest signal history stopping_value and merging_horizon will expand.
+# Two signals already reach the 2**20 node limit at this depth; the cap
+# also bounds the recursion and the power in that limit check.
+_MAX_DEPTH = 20
 
 
 def as_tolerance(value: Tolerance) -> Fraction:
@@ -196,7 +202,8 @@ def stationary_distribution(chain: MarkovChain) -> tuple[Fraction, ...]:
         rows.append((coeffs, EQ, Fraction(0)))
     rows.append(([Fraction(1)] * n, EQ, Fraction(1)))
     outcome = solve(linear_program([Fraction(0)] * n, rows, sense="min"))
-    assert outcome.status == OPTIMAL, "every stochastic matrix has a fixed point"
+    if outcome.status != OPTIMAL:
+        raise InternalError("every stochastic matrix has a fixed point")
     return outcome.x
 
 
@@ -246,7 +253,8 @@ class BeliefSet:
         rows.append(([Fraction(1)] * n_gen + [Fraction(0)] * dim, EQ, Fraction(1)))
         objective = [Fraction(0)] * n_gen + [Fraction(1)] * dim
         outcome = solve(linear_program(objective, rows, sense="min"))
-        assert outcome.status == OPTIMAL
+        if outcome.status != OPTIMAL:
+            raise InternalError(f"L1 distance program came back {outcome.status}")
         return outcome.objective
 
 
@@ -431,8 +439,8 @@ def merging_horizon(
     epsilon, with the full gap profile up to that point.
     """
     threshold = as_tolerance(epsilon)
-    if n_max < 1:
-        raise InvalidInput("n_max must be positive")
+    if not 1 <= n_max <= _MAX_DEPTH:
+        raise InvalidInput(f"n_max must lie in 1..{_MAX_DEPTH}")
     if not chain.strictly_positive:
         raise InvalidInput("merging requires a strictly positive chain")
     for j, signal in enumerate(experiment.signals):
@@ -535,6 +543,8 @@ def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fractio
     """
     if experiment.states != stopping.chain.states:
         raise InvalidInput("experiment and chain must share state labels")
+    if stopping.horizon > _MAX_DEPTH:
+        raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
     if experiment.n_signals ** stopping.horizon > 2 ** 20:
         raise InvalidInput("belief tree too large; lower the horizon")
     problem = stopping.problem
@@ -572,7 +582,7 @@ def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fractio
 
 def counterexample(
     pi: Experiment, pi_prime: Experiment, mu: Prior
-) -> tuple[DecisionProblem, MarkovChain] | None:
+) -> tuple[DecisionProblem, MarkovChain, tuple[tuple[int, Fraction, Fraction], ...]] | None:
     """A stopping problem separating the pair dynamically, if any exists.
 
     When the weighted-garbling order fails, some posterior of ``pi`` falls
@@ -584,7 +594,8 @@ def counterexample(
     stopping is worth exactly the safe payoff at every horizon; with
     ``pi`` the outside posteriors recur each period and stopping there is
     worth 0, so one observation already earns strictly more.  The
-    returned pair is re-verified for horizons 1..4.
+    problem is re-verified for horizons 1..4, and those stopping values
+    come back with it as (horizon, value with pi, value with pi_prime).
     """
     if pi.states != pi_prime.states:
         raise InvalidInput("experiments must share the same state labels")
@@ -597,10 +608,9 @@ def counterexample(
     n = pi.n_states
     payoffs: list[tuple[Fraction, ...]] = [tuple(Fraction(-1) for _ in range(n))]
     for atom in source.atoms:
-        if hull_membership(atom.belief, generators) is not None:
+        functional = hull_decide(atom.belief, generators)
+        if isinstance(functional, HullMembershipCertificate):
             continue
-        functional = separating_functional(atom.belief, generators)
-        assert functional is not None
         witness_value = sum(
             (functional[t] * atom.belief[t] for t in range(n)), Fraction(0)
         )
@@ -614,7 +624,8 @@ def counterexample(
         payoffs.append(
             tuple((h - witness_value) * 2 / margin for h in functional)
         )
-    assert len(payoffs) > 1, "a failed order must leave some posterior outside"
+    if len(payoffs) == 1:
+        raise InternalError("a failed order must leave some posterior outside")
     peak = max(abs(entry) for row in payoffs for entry in row)
     if peak > 1:
         factor = Fraction(2)
@@ -627,9 +638,12 @@ def counterexample(
         prior=mu,
     )
     chain = iid_chain(mu, states=pi.states)
+    values = []
     for horizon in (1, 2, 3, 4):
         stopping = StoppingProblem(problem=problem, chain=chain, horizon=horizon)
         better = stopping_value(stopping, pi)
         worse = stopping_value(stopping, pi_prime)
-        assert better > worse, "counterexample must separate at every horizon"
-    return problem, chain
+        if not better > worse:
+            raise InternalError("counterexample must separate at every horizon")
+        values.append((horizon, better, worse))
+    return problem, chain, tuple(values)

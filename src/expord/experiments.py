@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numerics import InvalidInput, Rational, RationalLike, as_rational
+from .numerics import InvalidInput, RationalLike, as_rational
 
 
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:

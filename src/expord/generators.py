@@ -27,6 +27,7 @@ from .experiments import (
 from .numerics import (
     EQ,
     OPTIMAL,
+    InternalError,
     InvalidInput,
     RationalLike,
     as_rational,
@@ -179,7 +180,8 @@ def random_vertex_weight(rng: Rng, experiment: Experiment) -> Weight:
         rows.append(([experiment.matrix[t][j] for j in range(n)], EQ, Fraction(1)))
     objective = [Fraction(rng.randint(0, 6)) for _ in range(n)]
     outcome = solve(linear_program(objective, rows, sense="min"))
-    assert outcome.status == OPTIMAL
+    if outcome.status != OPTIMAL:
+        raise InternalError(f"weight polytope program came back {outcome.status}")
     return make_weight(experiment, outcome.x)
 
 

@@ -25,7 +25,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 LE = "<="
@@ -87,11 +86,6 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise InvalidInput(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``'a/b'`` (or ``'a'`` when integral)."""
-    return str(value)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ gamma for P' and a channel phi from P''s signals to P's signals with
 Substituting psi(s, s') = gamma(s') phi(s|s') turns the existence question
 into a single linear feasibility problem in nonnegative psi: the weight
 identity follows by summing the reproduction rows over s, so the reproduction
-rows alone characterize the order.  Blackwell garbling is the special case
-gamma = 1, recovered by adding column normalization rows.  All decisions here
-return either a certificate that verifies by substitution or an exact
-negative answer.
+rows alone characterize the order.  Every decision here solves one instance
+of that psi program, built in one place: Blackwell garbling is the special
+case gamma = 1 (column sums equal to one), a size cap bounds the column sums,
+the minimal size minimizes a common bound on them, and the largest size
+maximizes one column sum at a time.  Each decision returns either a
+certificate that verifies by substitution or an exact negative answer; a
+certificate that fails its own check raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from typing import Sequence
 from .experiments import Experiment, Weight, apply_weight, make_weight, weight_check
 from .numerics import (
     EQ,
-    GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
     UNBOUNDED,
+    InternalError,
     InvalidInput,
     LinearProgram,
     LpOutcome,
@@ -150,47 +153,64 @@ def _require_shared_states(pi: Experiment, pi_prime: Experiment) -> None:
         )
 
 
-def _reproduction_rows(
-    pi: Experiment, pi_prime: Experiment, n_vars: int, offset: int = 0
-) -> list[tuple[list[Fraction], str, Fraction]]:
-    """Equality rows sum_{s'} psi(s,s') pi_prime(s'|t) = pi(s|t), flattened.
+def _psi_program(
+    pi: Experiment,
+    pi_prime: Experiment,
+    columns: tuple[tuple[Fraction, ...], str, Fraction] | None = None,
+    objective: Sequence[Fraction] | None = None,
+    sense: str = "min",
+) -> LinearProgram:
+    """The psi program: reproduction rows, then one row per column of P'.
 
-    Variable layout: psi(s, s') at index offset + s * |S'| + s'.
+    psi(s, s') is variable s * |S'| + s'; extra variables priced by the
+    objective (``min_size``'s bound t) follow.  The rows
+    sum_{s'} psi(s,s') pi_prime(s'|t) = pi(s|t) come first, signal-major;
+    ``columns = (tail, relation, rhs)`` then adds
+    sum_s psi(s, s') + tail . extras  relation  rhs  for every s'.
+    Under Bland's rule certificates depend on this order, so it is fixed.
     """
+    _require_shared_states(pi, pi_prime)
     n_sp = pi_prime.n_signals
+    if objective is None:
+        objective = [Fraction(0)] * (pi.n_signals * n_sp)
+    n_vars = len(objective)
     rows = []
     for i in range(pi.n_signals):
         for t in range(pi.n_states):
             coeffs = [Fraction(0)] * n_vars
-            for j in range(n_sp):
-                coeffs[offset + i * n_sp + j] = pi_prime.matrix[t][j]
+            coeffs[i * n_sp : (i + 1) * n_sp] = pi_prime.matrix[t]
             rows.append((coeffs, EQ, pi.matrix[t][i]))
-    return rows
+    if columns is not None:
+        tail, relation, rhs = columns
+        for j in range(n_sp):
+            coeffs = _column_sum(pi, pi_prime, j, n_vars)
+            coeffs[n_vars - len(tail) :] = tail
+            rows.append((coeffs, relation, rhs))
+    return linear_program(objective, rows, sense=sense)
 
 
-def _psi_from_point(
-    pi: Experiment, pi_prime: Experiment, point: Sequence[Fraction], offset: int = 0
-) -> tuple[tuple[Fraction, ...], ...]:
+def _column_sum(pi: Experiment, pi_prime: Experiment, j: int, n_vars: int) -> list[Fraction]:
+    """Coefficients of sum_s psi(s, s') at s' = j."""
+    coeffs = [Fraction(0)] * n_vars
+    for i in range(pi.n_signals):
+        coeffs[i * pi_prime.n_signals + j] = Fraction(1)
+    return coeffs
+
+
+# Column sums equal to one: gamma = 1, the plain Blackwell program.
+_STOCHASTIC = ((), EQ, Fraction(1))
+
+
+def _certify(pi: Experiment, pi_prime: Experiment, outcome: LpOutcome) -> GarblingCertificate:
+    """The verified certificate spelled out by an optimal psi program."""
+    if outcome.status != OPTIMAL:
+        raise InternalError(f"psi program expected optimal, got {outcome.status}")
     n_sp = pi_prime.n_signals
-    return tuple(
-        tuple(point[offset + i * n_sp + j] for j in range(n_sp))
-        for i in range(pi.n_signals)
-    )
-
-
-def _weighted_lp(
-    pi: Experiment, pi_prime: Experiment, max_size: Fraction | None = None
-) -> tuple[LinearProgram, LpOutcome]:
-    n_vars = pi.n_signals * pi_prime.n_signals
-    rows = _reproduction_rows(pi, pi_prime, n_vars)
-    if max_size is not None:
-        for j in range(pi_prime.n_signals):
-            coeffs = [Fraction(0)] * n_vars
-            for i in range(pi.n_signals):
-                coeffs[i * pi_prime.n_signals + j] = Fraction(1)
-            rows.append((coeffs, LE, max_size))
-    lp = linear_program([Fraction(0)] * n_vars, rows, sense="min")
-    return lp, solve(lp)
+    psi = tuple(tuple(outcome.x[i * n_sp : (i + 1) * n_sp]) for i in range(pi.n_signals))
+    certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
+    if not verify_certificate(certificate):
+        raise InternalError("solver returned a non-verifying psi")
+    return certificate
 
 
 def check_weighted(
@@ -205,41 +225,36 @@ def check_weighted(
     Passing ``max_size`` restricts the search to certificates of at most
     that size, so a witness of a requested size can be demanded.
     """
-    _require_shared_states(pi, pi_prime)
-    cap = None
-    if max_size is not None:
-        cap = as_rational(max_size)
-        if cap < 1:
-            raise InvalidInput("max_size must be at least 1")
-    _lp, outcome = _weighted_lp(pi, pi_prime, cap)
+    cap = None if max_size is None else as_rational(max_size)
+    if cap is not None and cap < 1:
+        raise InvalidInput("max_size must be at least 1")
+    columns = None if cap is None else ((), LE, cap)
+    outcome = solve(_psi_program(pi, pi_prime, columns))
     if outcome.status == INFEASIBLE:
         return None
-    assert outcome.status == OPTIMAL
-    psi = _psi_from_point(pi, pi_prime, outcome.x)
-    certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
-    assert verify_certificate(certificate), "solver returned a non-verifying psi"
-    if cap is not None:
-        assert certificate.beta <= cap
+    certificate = _certify(pi, pi_prime, outcome)
+    if cap is not None and certificate.beta > cap:
+        raise InternalError("solver exceeded the requested size")
     return certificate
 
 
-def blackwell_outcome(pi: Experiment, pi_prime: Experiment) -> LpOutcome:
-    """Feasibility LP for plain Blackwell garbling (column-stochastic phi).
+def blackwell_farkas(
+    pi: Experiment, pi_prime: Experiment
+) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Farkas multipliers refuting plain Blackwell garbling, or None.
 
-    Exposed separately because the Farkas certificate of the infeasible
-    case is the raw material for building violating decision problems.
+    Returns None when ``pi`` is a Blackwell garbling of ``pi_prime``.
+    Otherwise entry [s][t] is the multiplier y(s, t) of the reproduction
+    row at signal s of ``pi`` and state t, the raw material for building
+    violating decision problems.
     """
-    _require_shared_states(pi, pi_prime)
-    n_vars = pi.n_signals * pi_prime.n_signals
-    rows = _reproduction_rows(pi, pi_prime, n_vars)
-    n_sp = pi_prime.n_signals
-    for j in range(n_sp):
-        coeffs = [Fraction(0)] * n_vars
-        for i in range(pi.n_signals):
-            coeffs[i * n_sp + j] = Fraction(1)
-        rows.append((coeffs, EQ, Fraction(1)))
-    lp = linear_program([Fraction(0)] * n_vars, rows, sense="min")
-    return solve(lp)
+    outcome = solve(_psi_program(pi, pi_prime, _STOCHASTIC))
+    if outcome.status == OPTIMAL:
+        return None
+    if outcome.status != INFEASIBLE:
+        raise InternalError(f"feasibility program came back {outcome.status}")
+    n = pi.n_states
+    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
 
 
 def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate | None:
@@ -248,14 +263,12 @@ def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate
     The returned certificate has weight one on every signal, so its psi is
     the channel phi itself and its size is exactly 1.
     """
-    outcome = blackwell_outcome(pi, pi_prime)
+    outcome = solve(_psi_program(pi, pi_prime, _STOCHASTIC))
     if outcome.status == INFEASIBLE:
         return None
-    assert outcome.status == OPTIMAL
-    psi = _psi_from_point(pi, pi_prime, outcome.x)
-    certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
-    assert certificate.beta == 1
-    assert verify_certificate(certificate), "solver returned a non-verifying phi"
+    certificate = _certify(pi, pi_prime, outcome)
+    if certificate.beta != 1:
+        raise InternalError("Blackwell certificate has size other than 1")
     return certificate
 
 
@@ -269,26 +282,14 @@ def min_size(
     a witness attaining it, or None when no certificate exists.  The
     minimum equals 1 exactly when the pair is Blackwell ordered.
     """
-    _require_shared_states(pi, pi_prime)
-    n_psi = pi.n_signals * pi_prime.n_signals
-    n_vars = n_psi + 1
-    t_index = n_psi
-    rows = _reproduction_rows(pi, pi_prime, n_vars)
-    for j in range(pi_prime.n_signals):
-        coeffs = [Fraction(0)] * n_vars
-        for i in range(pi.n_signals):
-            coeffs[i * pi_prime.n_signals + j] = Fraction(1)
-        coeffs[t_index] = Fraction(-1)
-        rows.append((coeffs, LE, Fraction(0)))
-    objective = [Fraction(0)] * n_psi + [Fraction(1)]
-    outcome = solve(linear_program(objective, rows, sense="min"))
+    objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
+    columns = ((Fraction(-1),), LE, Fraction(0))
+    outcome = solve(_psi_program(pi, pi_prime, columns, objective))
     if outcome.status == INFEASIBLE:
         return None
-    assert outcome.status == OPTIMAL, "size is bounded below by 1"
-    psi = _psi_from_point(pi, pi_prime, outcome.x)
-    certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
-    assert verify_certificate(certificate)
-    assert certificate.beta == outcome.objective
+    certificate = _certify(pi, pi_prime, outcome)
+    if certificate.beta != outcome.objective:
+        raise InternalError("minimal size differs from the witness's size")
     return outcome.objective, certificate
 
 
@@ -325,14 +326,12 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
         return None
     beta_min, witness_min = base
     n_vars = pi.n_signals * pi_prime.n_signals
-    rows = _reproduction_rows(pi, pi_prime, n_vars)
-    best: tuple[Fraction, GarblingCertificate] | None = None
+    best: LpOutcome | None = None
     for j in range(pi_prime.n_signals):
-        objective = [Fraction(0)] * n_vars
-        for i in range(pi.n_signals):
-            objective[i * pi_prime.n_signals + j] = Fraction(1)
-        outcome = solve(linear_program(objective, rows, sense="max"))
-        assert outcome.status != INFEASIBLE, "min_size already proved feasibility"
+        objective = _column_sum(pi, pi_prime, j, n_vars)
+        outcome = solve(_psi_program(pi, pi_prime, objective=objective, sense="max"))
+        if outcome.status == INFEASIBLE:
+            raise InternalError("column maximization infeasible after min_size")
         if outcome.status == UNBOUNDED:
             return SizeInterval(
                 beta_min=beta_min,
@@ -340,18 +339,14 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
                 witness_min=witness_min,
                 witness_max=None,
             )
-        if best is None or outcome.objective > best[0]:
-            psi = _psi_from_point(pi, pi_prime, outcome.x)
-            best = (
-                outcome.objective,
-                GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi),
-            )
-    beta_max, witness_max = best
-    assert verify_certificate(witness_max)
-    assert witness_max.beta == beta_max >= beta_min
+        if best is None or outcome.objective > best.objective:
+            best = outcome
+    witness_max = _certify(pi, pi_prime, best)
+    if not witness_max.beta == best.objective >= beta_min:
+        raise InternalError("maximal size differs from the witness's size")
     return SizeInterval(
         beta_min=beta_min,
-        beta_max=beta_max,
+        beta_max=best.objective,
         witness_min=witness_min,
         witness_max=witness_max,
     )
@@ -405,7 +400,8 @@ def compose(
         for i in range(inner.pi.n_signals)
     )
     composite = GarblingCertificate(pi=inner.pi, pi_prime=outer.pi_prime, psi=psi)
-    assert composite.beta <= inner.beta * outer.beta
+    if composite.beta > inner.beta * outer.beta:
+        raise InternalError("composite size exceeds the product of the sizes")
     return composite
 
 
@@ -529,5 +525,6 @@ def from_conditional(
         for i in range(pi.n_signals)
     )
     certificate = GarblingCertificate(pi=pi, pi_prime=base, psi=psi)
-    assert verify_certificate(certificate)
+    if not verify_certificate(certificate):
+        raise InternalError("recovered certificate does not verify")
     return certificate

@@ -25,8 +25,8 @@ from .experiments import (
     dilute,
     residual_experiment,
 )
-from .numerics import INFEASIBLE, OPTIMAL, InvalidInput, RationalLike, as_rational
-from .order import GarblingCertificate, blackwell_outcome, verify_certificate
+from .numerics import InternalError, InvalidInput, RationalLike, as_rational
+from .order import GarblingCertificate, blackwell_farkas, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -178,22 +178,14 @@ def falsify_bound(
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
     diluted = dilute(pi, scale)
-    outcome = blackwell_outcome(diluted, pi_prime)
-    if outcome.status == OPTIMAL:
+    farkas = blackwell_farkas(diluted, pi_prime)
+    if farkas is None:
         return None
-    assert outcome.status == INFEASIBLE
     n_states = pi.n_states
-    # The first len(diluted.signals) * n_states Farkas rows are the
-    # reproduction rows, laid out signal-major.
-    payoffs = []
-    for i in range(diluted.n_signals):
-        payoffs.append(
-            tuple(
-                outcome.farkas[i * n_states + t] * n_states for t in range(n_states)
-            )
-        )
+    payoffs = [tuple(y * n_states for y in row) for row in farkas]
     peak = max(abs(entry) for row in payoffs for entry in row)
-    assert peak > 0, "a Farkas certificate cannot have all-zero row multipliers"
+    if peak == 0:
+        raise InternalError("a Farkas certificate cannot have all-zero row multipliers")
     if peak > 1:
         payoffs = [tuple(entry / peak for entry in row) for row in payoffs]
     problem = DecisionProblem(
@@ -201,8 +193,8 @@ def falsify_bound(
         payoffs=tuple(payoffs),
         prior=Prior(weights=tuple(Fraction(1, n_states) for _ in range(n_states))),
     )
-    report = verify_bound(problem, pi, pi_prime, scale)
-    assert not report.holds, "falsifier construction must violate the bound"
+    if verify_bound(problem, pi, pi_prime, scale).holds:
+        raise InternalError("falsifier construction must violate the bound")
     return problem
 
 

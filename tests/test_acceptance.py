@@ -376,7 +376,7 @@ def test_criterion_7_dynamics_properties(corpus, corpus_certs, corpus_sizes, cap
         if found is None:
             failures.append(f"(e) pair {index} returns no separator")
             continue
-        problem, chain_iid = found
+        problem, chain_iid, _values = found
         for horizon in (1, 2, 3, 4):
             stopping = StoppingProblem(
                 problem=problem, chain=chain_iid, horizon=horizon
@@ -392,7 +392,7 @@ def test_criterion_7_dynamics_properties(corpus, corpus_certs, corpus_sizes, cap
     if found is None:
         failures.append("(e) hand-checked pair returns no separator")
     else:
-        problem, chain_iid = found
+        problem, chain_iid, _values = found
         stopping = StoppingProblem(problem=problem, chain=chain_iid, horizon=2)
         if stopping_value(stopping, perfect_experiment(2)) != 0:
             failures.append("(e) hand-checked value is not 0")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from expord import (
     CouplingCertificate,
+    HullMembershipCertificate,
     InvalidInput,
     apply_weight,
     check_blackwell,
@@ -15,11 +16,11 @@ from expord import (
     check_weighted_beliefs,
     coupling_from_certificate,
     coupling_to_weight,
+    hull_decide,
     hull_membership,
     make_weight,
     posteriors,
     prior,
-    separating_functional,
     uniform_prior,
     verify_coupling,
 )
@@ -110,9 +111,9 @@ class TestHullMembership:
         generators = [(F(9, 10), F(1, 10)), (F(1, 10), F(9, 10))]
         inside = (F(1, 2), F(1, 2))
         outside = (F(19, 20), F(1, 20))
-        assert separating_functional(inside, generators) is None
-        h = separating_functional(outside, generators)
-        assert h is not None
+        assert isinstance(hull_decide(inside, generators), HullMembershipCertificate)
+        h = hull_decide(outside, generators)
+        assert not isinstance(h, HullMembershipCertificate)
         assert sum(h_t * p for h_t, p in zip(h, outside)) > 0
         for g in generators:
             assert sum(h_t * p for h_t, p in zip(h, g)) <= 0

@@ -180,6 +180,13 @@ class TestMergingHorizon:
         with pytest.raises(InvalidInput):
             merging_horizon(IDENTITY_2, uninformative_experiment(2, 2), "1/10")
 
+    def test_depth_capped_before_enumerating(self):
+        chain = markov_chain([["7/10", "3/10"], ["3/10", "7/10"]])
+        merging_horizon(chain, uninformative_experiment(2), "0", n_max=20)
+        for n_max in (21, 10**9):
+            with pytest.raises(InvalidInput):
+                merging_horizon(chain, uninformative_experiment(2), "0", n_max=n_max)
+
 
 class TestStoppingValue:
     def test_perfect_revelation_after_one_wait(self):
@@ -216,6 +223,15 @@ class TestStoppingValue:
         with pytest.raises(InvalidInput):
             stopping_value(sp, binary_symmetric("3/5"))
 
+    def test_horizon_capped_for_one_signal(self):
+        # 1 ** horizon never trips the tree-size guard; the depth cap does.
+        sp = StoppingProblem(problem=MATCHING, chain=IID_UNIFORM, horizon=20)
+        assert stopping_value(sp, uninformative_experiment(2)) == F(1, 2)
+        for horizon in (21, 100000):
+            sp = StoppingProblem(problem=MATCHING, chain=IID_UNIFORM, horizon=horizon)
+            with pytest.raises(InvalidInput):
+                stopping_value(sp, uninformative_experiment(2))
+
     def test_matches_exhaustive_policy_enumeration(self):
         import random as _random
 
@@ -247,7 +263,7 @@ class TestCounterexample:
     def test_perfect_vs_uninformative_matches_the_hand_values(self):
         found = counterexample(perfect_experiment(2), uninformative_experiment(2), UNIFORM)
         assert found is not None
-        problem, chain = found
+        problem, chain, _values = found
         assert set(problem.payoffs) == {
             (F(-1, 4), F(-1, 4)),
             (F(0), F(-1)),
@@ -269,18 +285,27 @@ class TestCounterexample:
         pi_prime = binary_symmetric("3/5")
         found = counterexample(pi, pi_prime, UNIFORM)
         assert found is not None
-        problem, chain = found
+        problem, chain, _values = found
         for horizon in (1, 2, 3, 4):
             sp = StoppingProblem(problem=problem, chain=chain, horizon=horizon)
             assert stopping_value(sp, pi) > stopping_value(sp, pi_prime)
 
+    def test_returned_values_are_the_stopping_values(self):
+        pi = binary_symmetric("9/10")
+        pi_prime = binary_symmetric("3/5")
+        problem, chain, values = counterexample(pi, pi_prime, UNIFORM)
+        assert [horizon for horizon, _, _ in values] == [1, 2, 3, 4]
+        for horizon, better, worse in values:
+            sp = StoppingProblem(problem=problem, chain=chain, horizon=horizon)
+            assert better == stopping_value(sp, pi) > worse == stopping_value(sp, pi_prime)
+
     def test_payoffs_normalized(self):
         found = counterexample(binary_symmetric("9/10"), binary_symmetric("3/5"), UNIFORM)
-        problem, _ = found
+        problem, _, _ = found
         assert all(abs(u) <= 1 for row in problem.payoffs for u in row)
 
     def test_chain_is_iid_at_the_prior(self):
         mu = prior(["1/3", "2/3"])
         found = counterexample(perfect_experiment(2), uninformative_experiment(2), mu)
-        _, chain = found
+        _, chain, _ = found
         assert all(row == mu.weights for row in chain.rows)

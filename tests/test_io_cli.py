@@ -5,10 +5,16 @@ Exit-code contract: 0 when the queried relation or computation holds,
 one of the library's own certificate checks fails.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expord import (
     InvalidInput,
@@ -444,6 +450,40 @@ class TestCliPlumbing:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_deeply_nested_json_exits_two(self, files, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = run(["check", "weighted", str(path), files["pi"]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_states_exit_two(self, files, capsys, tmp_path):
+        doc = docs.experiment_to_doc(binary_symmetric("4/5"))
+        doc["states"] = "TOKEN"
+        path = tmp_path / "deep_states.json"
+        path.write_text(json.dumps(doc).replace('"TOKEN"', "[" * 5000 + "]" * 5000))
+        code = run(["check", "weighted", str(path), files["pi"]])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_one_signal_long_horizon_exits_two(self, files, capsys):
+        # One signal keeps n_signals ** horizon at 1, so only the cap on the
+        # horizon itself stops the recursion.
+        code = run(
+            ["stopping", "--chain", files["iid"], "--horizon", "100000",
+             files["matching"], files["uninf"]]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_merge_depth_exits_two(self, files, capsys):
+        code = run(
+            ["merge-horizon", files["uninf"], "--chain", files["chain"],
+             "--eps", "0", "--nmax", "100000000"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_failed_self_check_exits_three(self, files, capsys, monkeypatch):
         # An unordered pair makes the garbling LP infeasible, so its Farkas
         # certificate is checked; a failing check is a defect, not a verdict.
@@ -461,3 +501,51 @@ class TestCliPlumbing:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------- exit fuzz
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+_experiment_shaped = st.fixed_dictionaries(
+    {
+        "kind": st.just("experiment"),
+        "states": _json_values | st.lists(st.text(max_size=3), max_size=3),
+        "signals": _json_values | st.lists(st.text(max_size=3), max_size=3),
+        "matrix": _json_values
+        | st.lists(
+            st.lists(st.sampled_from(["0", "1", "1/2", "-1", "3/2", 0, 1]), max_size=3),
+            max_size=3,
+        ),
+    }
+)
+_valid_experiments = st.sampled_from(
+    [binary_symmetric("4/5"), three_signal_family("9/10"), perfect_experiment(3),
+     uninformative_experiment(2)]
+).map(docs.experiment_to_doc)
+_payloads = (
+    st.binary(max_size=64)
+    | (_json_values | _experiment_shaped | _valid_experiments).map(
+        lambda doc: json.dumps(doc).encode("utf-8")
+    )
+)
+
+
+class TestExitCodeFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(first=_payloads, second=_payloads)
+    def test_check_weighted_exits_zero_one_or_two(self, first, second):
+        with tempfile.TemporaryDirectory() as folder:
+            paths = [os.path.join(folder, name) for name in ("pi.json", "pi_prime.json")]
+            for path, payload in zip(paths, (first, second)):
+                with open(path, "wb") as handle:
+                    handle.write(payload)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = run(["check", "weighted", *paths])
+        assert code in (0, 1, 2)

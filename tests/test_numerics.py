@@ -29,7 +29,6 @@ from expord import (
     as_rational,
     dual_program,
     farkas_verifies,
-    format_rational,
     linear_program,
     parse_rational,
     ray_verifies,
@@ -89,7 +88,7 @@ class TestAsRational:
 
     def test_format_round_trip(self):
         for text in ["0", "3/5", "-7/2", "12"]:
-            assert format_rational(parse_rational(text)) == text
+            assert str(parse_rational(text)) == text
 
 
 class TestSolveExamples:

@@ -7,9 +7,14 @@ with accuracy q' otherwise.  The weighted order holds iff 2q - 1 <=
 2(2q'-1), with minimal size 2(2q-1)/(2q'-1) when that is at least 1.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import expord
 
 from expord import (
     ConditionalExperiment,
@@ -30,6 +35,7 @@ from expord import (
     validate_experiment,
     verify_certificate,
 )
+from expord.order import blackwell_farkas
 from expord.generators import (
     binary_symmetric,
     dilution_certificate,
@@ -94,6 +100,27 @@ class TestCheckBlackwell:
     def test_state_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             check_blackwell(binary_symmetric("3/5"), perfect_experiment(3))
+
+
+class TestBlackwellFarkas:
+    PAIRS = [
+        (binary_symmetric("3/5"), three_signal_family("4/5")),
+        (binary_symmetric("4/5"), three_signal_family("9/10")),
+        (perfect_experiment(2), uninformative_experiment(2)),
+        (binary_symmetric("9/10"), binary_symmetric("3/5")),
+    ]
+
+    def test_none_exactly_when_blackwell_holds(self):
+        for pi, pi_prime in self.PAIRS:
+            refuted = blackwell_farkas(pi, pi_prime) is not None
+            assert refuted == (check_blackwell(pi, pi_prime) is None)
+
+    def test_table_is_signal_by_state(self):
+        pi = perfect_experiment(2)
+        table = blackwell_farkas(pi, uninformative_experiment(2))
+        assert len(table) == pi.n_signals
+        assert all(len(row) == pi.n_states for row in table)
+        assert any(y != 0 for row in table for y in row)
 
 
 class TestCheckWeighted:
@@ -357,3 +384,27 @@ class TestVerifyCertificate:
         )
         assert verify_certificate(witness)
         assert witness.beta == 1
+
+
+def test_certificate_checks_survive_optimize_flag():
+    script = (
+        "import expord.order as order\n"
+        "from expord import InternalError\n"
+        "from expord.generators import binary_symmetric, three_signal_family\n"
+        "order.verify_certificate = lambda certificate: order.VerificationResult("
+        "ok=False, violations=('patched',))\n"
+        "try:\n"
+        "    order.check_weighted(binary_symmetric('4/5'), three_signal_family('9/10'))\n"
+        "except InternalError as error:\n"
+        "    print('InternalError:', error)\n"
+        "print('debug:', __debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(expord.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "debug: False" in done.stdout
+    assert "InternalError: solver returned a non-verifying psi" in done.stdout
