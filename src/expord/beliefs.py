@@ -17,7 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .experiments import Experiment, Prior, Weight, make_weight, regularize
+from .experiments import (
+    Experiment,
+    Prior,
+    Weight,
+    check_belief,
+    make_weight,
+    regularize,
+)
 from .numerics import (
     EQ,
     INFEASIBLE,
@@ -86,9 +93,11 @@ class PosteriorDistribution:
 def posteriors(experiment: Experiment, mu0: Prior) -> PosteriorDistribution:
     """Bayes posteriors of every positive-probability signal, merged by value.
 
-    Signals with equal posteriors are collected into a single atom; signals
-    of probability zero are dropped.  Requires a full-support prior so every
-    surviving signal has a well-defined posterior.
+    Each posterior is :meth:`~expord.experiments.Experiment.bayes` of its
+    signal against the prior.  Signals with equal posteriors are collected
+    into a single atom; signals of probability zero are dropped.  Requires
+    a full-support prior so every surviving signal has a well-defined
+    posterior.
     """
     if len(mu0.weights) != experiment.n_states:
         raise InvalidInput("prior dimension does not match the state set")
@@ -96,16 +105,9 @@ def posteriors(experiment: Experiment, mu0: Prior) -> PosteriorDistribution:
         raise InvalidInput("posteriors require a full-support prior")
     atoms: list[tuple[list[str], Belief, Fraction]] = []
     for j, signal in enumerate(experiment.signals):
-        mass = sum(
-            (mu0.weights[t] * experiment.matrix[t][j] for t in range(experiment.n_states)),
-            Fraction(0),
-        )
-        if mass == 0:
+        mass, belief = experiment.bayes(mu0.weights, j)
+        if belief is None:
             continue
-        belief = tuple(
-            mu0.weights[t] * experiment.matrix[t][j] / mass
-            for t in range(experiment.n_states)
-        )
         for k, (merged, existing, prob) in enumerate(atoms):
             if existing == belief:
                 atoms[k] = (merged + [signal], existing, prob + mass)
@@ -155,14 +157,6 @@ def _hull_lp(point: Belief, generators: Sequence[Belief]):
     return solve(linear_program([Fraction(0)] * n_gen, rows, sense="min"))
 
 
-def _check_belief_dimensions(point: Belief, generators: Sequence[Belief]) -> None:
-    if not generators:
-        raise InvalidInput("at least one generator is required")
-    dim = len(point)
-    if any(len(g) != dim for g in generators):
-        raise InvalidInput("all points must share one state space")
-
-
 def hull_decide(
     point: Belief, generators: Sequence[Belief]
 ) -> HullMembershipCertificate | tuple[Fraction, ...]:
@@ -174,14 +168,19 @@ def hull_decide(
     Farkas certificate of the same LP: the multipliers (y, z) satisfy
     y . g_k + z <= 0 for every generator and y . point + z > 0, and since
     beliefs sum to one, h = y + z folds the offset into the functional.
+    That fold is why the point and every generator must pass
+    :func:`~expord.experiments.check_belief`, with the point's dimension.
     Both separation inequalities are re-checked before returning.
     """
-    _check_belief_dimensions(point, generators)
+    if not generators:
+        raise InvalidInput("at least one generator is required")
+    point = check_belief(point, len(point))
+    generators = [check_belief(g, len(point)) for g in generators]
     outcome = _hull_lp(point, generators)
     if outcome.status == OPTIMAL:
         return HullMembershipCertificate(
-            point=tuple(point),
-            generators=tuple(tuple(g) for g in generators),
+            point=point,
+            generators=tuple(generators),
             coefficients=outcome.x,
         )
     if outcome.status != INFEASIBLE:
@@ -383,26 +382,21 @@ def coupling_from_certificate(
     # Original pi_prime signals are tied to target atoms by posterior value,
     # which survives both merging and relabeling.
     belief_index = {atom.belief: j for j, atom in enumerate(target.atoms)}
-    col_of: dict[int, int] = {}
-    for j in range(pi_prime.n_signals):
-        if signal_mass[j] == 0:
-            continue
-        belief = tuple(
-            mu0.weights[t] * pi_prime.matrix[t][j] / signal_mass[j]
-            for t in range(pi_prime.n_states)
-        )
-        col_of[j] = belief_index[belief]
+    col_of: dict[str, int] = {}
+    for atom in posteriors(pi_prime, mu0).atoms:
+        for signal in atom.signals:
+            col_of[signal] = belief_index[atom.belief]
     matrix = [
         [Fraction(0)] * len(target.atoms) for _ in range(len(source.atoms))
     ]
     for i, signal in enumerate(pi.signals):
         if signal not in row_of:
             continue
-        for j in range(pi_prime.n_signals):
-            if j not in col_of:
+        for j, signal_prime in enumerate(pi_prime.signals):
+            if signal_prime not in col_of:
                 continue
             mass = certificate.psi[i][j] * signal_mass[j]
-            matrix[row_of[signal]][col_of[j]] += mass
+            matrix[row_of[signal]][col_of[signal_prime]] += mass
     return CouplingCertificate(
         prior=mu0,
         pi_atoms=source.atoms,

@@ -89,6 +89,15 @@ def experiment_from_doc(doc: Any, path: str = "experiment") -> Experiment:
     )
 
 
+def _embedded_experiment(doc: Any, key: str, path: str) -> Experiment:
+    """The experiment at ``doc[key]``, checked against ``doc[key + "_digest"]``."""
+    experiment = experiment_from_doc(_need(doc, key, path), f"{path}.{key}")
+    stated = _need(doc, f"{key}_digest", path)
+    if stated != document_digest(experiment_to_doc(experiment)):
+        raise _fail(f"{path}.{key}_digest", "digest does not match the embedded experiment")
+    return experiment
+
+
 def chain_to_doc(chain: MarkovChain) -> dict:
     return {
         "kind": "chain",
@@ -147,18 +156,9 @@ def certificate_from_doc(doc: Any, path: str = "certificate") -> GarblingCertifi
     kind = _need(doc, "kind", path)
     if kind != "certificate":
         raise _fail(f"{path}.kind", f"expected 'certificate', got {kind!r}")
-    pi_doc = _need(doc, "pi", path)
-    pi_prime_doc = _need(doc, "pi_prime", path)
-    pi = experiment_from_doc(pi_doc, f"{path}.pi")
-    pi_prime = experiment_from_doc(pi_prime_doc, f"{path}.pi_prime")
-    for key, payload in (("pi_digest", pi_doc), ("pi_prime_digest", pi_prime_doc)):
-        stated = _need(doc, key, path)
-        actual = document_digest(experiment_to_doc(experiment_from_doc(payload, path)))
-        if stated != actual:
-            raise _fail(f"{path}.{key}", "digest does not match the embedded experiment")
     certificate = GarblingCertificate(
-        pi=pi,
-        pi_prime=pi_prime,
+        pi=_embedded_experiment(doc, "pi", path),
+        pi_prime=_embedded_experiment(doc, "pi_prime", path),
         psi=_rational_matrix(_need(doc, "psi", path), f"{path}.psi"),
     )
     stated_beta = _rational(_need(doc, "beta", path), f"{path}.beta")
@@ -185,12 +185,8 @@ def conditional_from_doc(doc: Any, path: str = "conditional_experiment") -> Cond
     kind = _need(doc, "kind", path)
     if kind != "conditional_experiment":
         raise _fail(f"{path}.kind", f"expected 'conditional_experiment', got {kind!r}")
-    base = experiment_from_doc(_need(doc, "base", path), f"{path}.base")
-    stated = _need(doc, "base_digest", path)
-    if stated != document_digest(experiment_to_doc(base)):
-        raise _fail(f"{path}.base_digest", "digest does not match the embedded experiment")
     return ConditionalExperiment(
-        base=base,
+        base=_embedded_experiment(doc, "base", path),
         event=_rational_matrix(_need(doc, "event", path), f"{path}.event"),
         alpha=_rational(_need(doc, "alpha", path), f"{path}.alpha"),
     )

@@ -7,7 +7,10 @@ between experiments reduce to the weighted-garbling order.  This module
 computes the iteration exactly, evaluates finite-horizon stopping problems by
 backward induction, and constructs dynamic counterexamples: when the order
 fails, a stopping problem on which the coarser experiment is strictly better
-forever after.
+forever after.  Every Bayes update here is
+:meth:`~expord.experiments.Experiment.bayes` against a pushed-forward
+belief, and every stopping payoff is
+:meth:`~expord.experiments.DecisionProblem.best_response` to a belief.
 
 Hull points, updates, and stopping values are exact rationals.  Tolerances
 appear only in stopping rules for the hull iteration and are themselves
@@ -23,7 +26,7 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
-from .experiments import DecisionProblem, Experiment, Prior
+from .experiments import DecisionProblem, Experiment, Prior, check_belief
 from .numerics import (
     EQ,
     GE,
@@ -93,75 +96,6 @@ class MarkovChain:
     def strictly_positive(self) -> bool:
         return all(entry > 0 for row in self.rows for entry in row)
 
-    def _adjacency(self) -> list[list[bool]]:
-        return [[entry > 0 for entry in row] for row in self.rows]
-
-    def _reachable(self) -> list[list[bool]]:
-        """reach[i][j]: a path of length >= 1 from i to j exists."""
-        n = self.n_states
-        reach = self._adjacency()
-        for k in range(n):
-            for i in range(n):
-                if reach[i][k]:
-                    row_k = reach[k]
-                    row_i = reach[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        return reach
-
-    @property
-    def irreducible(self) -> bool:
-        reach = self._reachable()
-        return all(reach[i][j] for i in range(self.n_states) for j in range(self.n_states))
-
-    @property
-    def aperiodic(self) -> bool:
-        """Every recurrent class has period one.
-
-        The period of a strongly connected component is the gcd of
-        d(u) + 1 - d(v) over its internal edges, with d the BFS distances
-        from any fixed member.  Components without internal edges have no
-        return paths and impose no constraint.
-        """
-        n = self.n_states
-        adjacency = self._adjacency()
-        reach = self._reachable()
-        assigned = [False] * n
-        for root in range(n):
-            if assigned[root]:
-                continue
-            if reach[root][root]:
-                component = [
-                    j for j in range(n) if reach[root][j] and reach[j][root]
-                ]
-            else:
-                component = [root]
-            for j in component:
-                assigned[j] = True
-            members = set(component)
-            edges = [
-                (u, v) for u in component for v in component if adjacency[u][v]
-            ]
-            if not edges:
-                continue
-            distance = {component[0]: 0}
-            frontier = [component[0]]
-            while frontier:
-                ahead = []
-                for u in frontier:
-                    for v in range(n):
-                        if adjacency[u][v] and v in members and v not in distance:
-                            distance[v] = distance[u] + 1
-                            ahead.append(v)
-                frontier = ahead
-            period = 0
-            for u, v in edges:
-                period = math.gcd(period, abs(distance[u] + 1 - distance[v]))
-            if period != 1:
-                return False
-        return True
-
     def push_forward(self, belief: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """One transition step applied to a belief."""
         return tuple(
@@ -207,15 +141,9 @@ def stationary_distribution(chain: MarkovChain) -> tuple[Fraction, ...]:
     return outcome.x
 
 
-def _check_belief(belief: Sequence[Fraction], n_states: int) -> tuple[Fraction, ...]:
-    point = tuple(as_rational(entry) for entry in belief)
-    if len(point) != n_states:
-        raise InvalidInput("belief dimension does not match the state set")
-    if any(entry < 0 for entry in point):
-        raise InvalidInput("belief entries must be nonnegative")
-    if sum(point, Fraction(0)) != 1:
-        raise InvalidInput("belief must sum to exactly 1")
-    return point
+def _check_shared_states(chain: MarkovChain, experiment: Experiment) -> None:
+    if chain.states != experiment.states:
+        raise InvalidInput("chain and experiment must share state labels")
 
 
 @dataclass(frozen=True)
@@ -232,12 +160,11 @@ class BeliefSet:
         return len(self.points)
 
     def contains(self, belief: Sequence[Fraction]) -> bool:
-        point = _check_belief(belief, len(self.points[0]))
-        return hull_membership(point, self.points) is not None
+        return hull_membership(belief, self.points) is not None
 
     def l1_distance(self, belief: Sequence[Fraction]) -> Fraction:
         """Exact L1 distance from a point to the hull, by LP."""
-        point = _check_belief(belief, len(self.points[0]))
+        point = check_belief(belief, len(self.points[0]))
         n_gen = len(self.points)
         dim = len(point)
         n_vars = n_gen + dim
@@ -268,7 +195,7 @@ def belief_set(points: Sequence[Sequence[Fraction]]) -> BeliefSet:
     if not points:
         raise InvalidInput("a belief set needs at least one point")
     dim = len(points[0])
-    unique = sorted({_check_belief(p, dim) for p in points})
+    unique = sorted({check_belief(p, dim) for p in points})
     kept = list(unique)
     for point in unique:
         if len(kept) == 1:
@@ -299,12 +226,12 @@ def update(
     """Transition-then-signal posterior update.
 
     The state moves one chain step from the current belief, then the signal
-    is observed: r(s|mu)(t') is proportional to pi(s|t') times the pushed
-    forward mass at t'.  Raises when the signal has probability zero there.
+    is observed: r(s|mu) is :meth:`~expord.experiments.Experiment.bayes`
+    of s against the pushed-forward belief.  Raises when the signal has
+    probability zero there.
     """
-    if chain.states != experiment.states:
-        raise InvalidInput("chain and experiment must share state labels")
-    point = _check_belief(belief, chain.n_states)
+    _check_shared_states(chain, experiment)
+    point = check_belief(belief, chain.n_states)
     if isinstance(signal, str):
         try:
             j = experiment.signals.index(signal)
@@ -314,16 +241,12 @@ def update(
         j = signal
         if not 0 <= j < experiment.n_signals:
             raise InvalidInput(f"signal index {j} out of range")
-    predicted = chain.push_forward(point)
-    raw = tuple(
-        experiment.matrix[u][j] * predicted[u] for u in range(chain.n_states)
-    )
-    mass = sum(raw, Fraction(0))
-    if mass == 0:
+    _, posterior = experiment.bayes(chain.push_forward(point), j)
+    if posterior is None:
         raise InvalidInput(
             f"signal {experiment.signals[j]!r} has probability zero at this belief"
         )
-    return tuple(entry / mass for entry in raw)
+    return posterior
 
 
 def eta_step(chain: MarkovChain, experiment: Experiment, hull: BeliefSet) -> BeliefSet:
@@ -400,15 +323,15 @@ def regular_prior_check(
     """Do all one-step updates of the prior land (near) the hull?
 
     Signals of probability zero at the prior are skipped; for the rest the
-    exact L1 distance to the hull must be at most tol.
+    exact L1 distance to the hull must be at most tol.  The chain, the
+    experiment and the prior must share one state set.
     """
     threshold = as_tolerance(tol)
+    _check_shared_states(chain, experiment)
+    predicted = chain.push_forward(check_belief(mu0.weights, chain.n_states))
     for j in range(experiment.n_signals):
-        try:
-            posterior = update(chain, experiment, mu0.weights, j)
-        except InvalidInput:
-            continue
-        if hull.l1_distance(posterior) > threshold:
+        _, posterior = experiment.bayes(predicted, j)
+        if posterior is not None and hull.l1_distance(posterior) > threshold:
             return False
     return True
 
@@ -439,6 +362,7 @@ def merging_horizon(
     epsilon, with the full gap profile up to that point.
     """
     threshold = as_tolerance(epsilon)
+    _check_shared_states(chain, experiment)
     if not 1 <= n_max <= _MAX_DEPTH:
         raise InvalidInput(f"n_max must lie in 1..{_MAX_DEPTH}")
     if not chain.strictly_positive:
@@ -536,43 +460,31 @@ class StoppingProblem:
 def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
     """Exact optimal value by backward induction on the belief tree.
 
-    W_T(mu) is the best immediate payoff; earlier, W_t(mu) is the max of
-    stopping now and the expected W_{t+1} over the transition-then-signal
-    update.  Beliefs repeat across the tree, so values are memoized per
-    (period, belief).
+    W_T(mu) is the best immediate payoff, the decision problem's
+    :meth:`~expord.experiments.DecisionProblem.best_response` to mu;
+    earlier, W_t(mu) is the max of stopping now and the expected W_{t+1}
+    over the transition-then-signal update.  Beliefs repeat across the
+    tree, so values are memoized per (period, belief).
     """
-    if experiment.states != stopping.chain.states:
-        raise InvalidInput("experiment and chain must share state labels")
+    _check_shared_states(stopping.chain, experiment)
     if stopping.horizon > _MAX_DEPTH:
         raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
     if experiment.n_signals ** stopping.horizon > 2 ** 20:
         raise InvalidInput("belief tree too large; lower the horizon")
     problem = stopping.problem
     chain = stopping.chain
-    n = problem.n_states
-
-    def stop_payoff(belief: Belief) -> Fraction:
-        return max(
-            sum((problem.payoffs[a][t] * belief[t] for t in range(n)), Fraction(0))
-            for a in range(problem.n_actions)
-        )
 
     @lru_cache(maxsize=None)
     def w(t: int, belief: Belief) -> Fraction:
-        stop = stop_payoff(belief)
+        stop, _ = problem.best_response(belief)
         if t == stopping.horizon:
             return stop
         predicted = chain.push_forward(belief)
         continuation = Fraction(0)
         for j in range(experiment.n_signals):
-            raw = tuple(
-                experiment.matrix[u][j] * predicted[u] for u in range(n)
-            )
-            mass = sum(raw, Fraction(0))
-            if mass == 0:
-                continue
-            posterior = tuple(entry / mass for entry in raw)
-            continuation += mass * w(t + 1, posterior)
+            mass, posterior = experiment.bayes(predicted, j)
+            if posterior is not None:
+                continuation += mass * w(t + 1, posterior)
         return max(stop, continuation)
 
     result = w(0, tuple(problem.prior.weights))

@@ -6,6 +6,11 @@ its signal columns while preserving total mass one under every state; weights
 are the raw material of the weighted-garbling order implemented in
 :mod:`expord.order`.  Everything validates eagerly and stores Fractions, so
 any object that exists is coherent.
+
+Three decisions every other layer makes live here, once each: Bayes' rule
+(:meth:`Experiment.bayes`), the best action against a belief
+(:meth:`DecisionProblem.best_response`), and what counts as a belief
+(:func:`check_belief`).
 """
 
 from __future__ import annotations
@@ -78,6 +83,24 @@ class Experiment:
         """True when every signal has positive probability in every state."""
         return all(entry > 0 for row in self.matrix for entry in row)
 
+    def bayes(
+        self, measure: Sequence[Fraction], j: int
+    ) -> tuple[Fraction, tuple[Fraction, ...] | None]:
+        """Bayes' rule for signal ``j`` against a measure over states.
+
+        Returns the signal's mass, sum_t measure[t] matrix[t][j], and the
+        posterior measure[t] matrix[t][j] / mass, which is None when the
+        mass is zero.  The measure is typically a prior or a pushed-forward
+        belief.
+        """
+        if len(measure) != self.n_states:
+            raise InvalidInput("measure dimension does not match the state set")
+        joint = tuple(measure[t] * self.matrix[t][j] for t in range(self.n_states))
+        mass = sum(joint, Fraction(0))
+        if mass == 0:
+            return mass, None
+        return mass, tuple(entry / mass for entry in joint)
+
     def signal_probability(self, prior: "Prior") -> tuple[Fraction, ...]:
         """Marginal signal distribution under ``prior``."""
         if len(prior.weights) != self.n_states:
@@ -130,6 +153,22 @@ class Prior:
     @property
     def full_support(self) -> bool:
         return all(entry > 0 for entry in self.weights)
+
+
+def check_belief(belief: Sequence[RationalLike], n_states: int) -> tuple[Fraction, ...]:
+    """A belief over ``n_states`` states as exact Fractions, or InvalidInput.
+
+    A belief has one entry per state, no negative entry, and entries that
+    sum to exactly one.
+    """
+    point = tuple(as_rational(entry) for entry in belief)
+    if len(point) != n_states:
+        raise InvalidInput("belief dimension does not match the state set")
+    if any(entry < 0 for entry in point):
+        raise InvalidInput("belief entries must be nonnegative")
+    if sum(point, Fraction(0)) != 1:
+        raise InvalidInput("belief must sum to exactly 1")
+    return point
 
 
 def prior(weights: Sequence[RationalLike]) -> Prior:
@@ -338,6 +377,25 @@ class DecisionProblem:
     @property
     def n_states(self) -> int:
         return len(self.prior.weights)
+
+    def best_response(self, measure: Sequence[Fraction]) -> tuple[Fraction, int]:
+        """The best score against a measure over states, and its action index.
+
+        Action ``a`` scores sum_t payoffs[a][t] measure[t]; ties go to the
+        lowest index.  A belief gives the expected payoff of acting on it,
+        and an unnormalized measure such as prior times likelihood gives
+        that payoff weighted by the measure's mass.
+        """
+        if len(measure) != self.n_states:
+            raise InvalidInput("measure dimension does not match the state set")
+        best_score = None
+        best_action = 0
+        for a, row in enumerate(self.payoffs):
+            score = sum((u * m for u, m in zip(row, measure)), Fraction(0))
+            if best_score is None or score > best_score:
+                best_score = score
+                best_action = a
+        return best_score, best_action
 
 
 def decision_problem(

@@ -1,7 +1,9 @@
 """Decision-problem values and the payoff characterization of the order.
 
 The value of an experiment for a decision problem is the expected payoff of
-the best signal-contingent action plan.  A weighted-garbling certificate of
+the best signal-contingent action plan, which plays on each signal the
+:meth:`~expord.experiments.DecisionProblem.best_response` to the prior
+times that signal's likelihood.  A weighted-garbling certificate of
 size beta yields the guarantee
 
     V(P') >= (1/beta) V(P) + (1 - 1/beta) V(null)
@@ -41,9 +43,6 @@ class PolicyTable:
         if not (len(self.signals) == len(self.actions) == len(self.indices)):
             raise InvalidInput("policy rows must align signals with actions")
 
-    def action_index(self, signal_position: int) -> int:
-        return self.indices[signal_position]
-
 
 def _check_compatible(problem: DecisionProblem, experiment: Experiment) -> None:
     if problem.n_states != experiment.n_states:
@@ -71,31 +70,22 @@ def policy_payoff(
 def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, PolicyTable]:
     """Optimal expected payoff and an optimal deterministic policy.
 
-    Each signal is treated separately: the optimal plan maximizes
-    sum_t u(a, t) pi(s|t) mu(t) signal by signal, ties broken toward the
-    lowest action index.
+    Each signal is treated separately: the optimal plan plays, on signal
+    s, the best response to the joint measure mu(t) pi(s|t), ties broken
+    toward the lowest action index.
     """
     _check_compatible(problem, experiment)
     total = Fraction(0)
     chosen: list[int] = []
     for j in range(experiment.n_signals):
-        best: Fraction | None = None
-        best_action = 0
-        for a in range(problem.n_actions):
-            score = sum(
-                (
-                    problem.payoffs[a][t]
-                    * experiment.matrix[t][j]
-                    * problem.prior.weights[t]
-                    for t in range(problem.n_states)
-                ),
-                Fraction(0),
+        score, action = problem.best_response(
+            tuple(
+                problem.prior.weights[t] * experiment.matrix[t][j]
+                for t in range(problem.n_states)
             )
-            if best is None or score > best:
-                best = score
-                best_action = a
-        total += best
-        chosen.append(best_action)
+        )
+        total += score
+        chosen.append(action)
     policy = PolicyTable(
         signals=experiment.signals,
         actions=tuple(problem.actions[a] for a in chosen),
@@ -106,13 +96,7 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
 
 def value_null(problem: DecisionProblem) -> Fraction:
     """Value of acting on the prior alone."""
-    return max(
-        sum(
-            (problem.payoffs[a][t] * problem.prior.weights[t] for t in range(problem.n_states)),
-            Fraction(0),
-        )
-        for a in range(problem.n_actions)
-    )
+    return problem.best_response(problem.prior.weights)[0]
 
 
 @dataclass(frozen=True)

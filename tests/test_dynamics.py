@@ -150,6 +150,25 @@ class TestRegularPriorCheck:
         hull = belief_set([(F(1, 2), F(1, 2))])
         assert not regular_prior_check(IDENTITY_2, binary_symmetric("3/5"), UNIFORM, hull)
 
+    # Each of these used to come back True: every InvalidInput raised per
+    # signal was read as a zero-probability signal and skipped.
+    def test_chain_labels_must_match_the_experiment(self):
+        chain = markov_chain([["1/2", "1/2"], ["1/3", "2/3"]], states=["x0", "x1"])
+        hull = belief_set([(F(1, 2), F(1, 2))])
+        with pytest.raises(InvalidInput):
+            regular_prior_check(chain, binary_symmetric("3/4"), UNIFORM, hull)
+
+    def test_three_state_chain_and_prior_with_two_state_experiment(self):
+        chain = iid_chain(uniform_prior(3))
+        hull = belief_set([(F(1, 3), F(1, 3), F(1, 3))])
+        with pytest.raises(InvalidInput):
+            regular_prior_check(chain, binary_symmetric("3/4"), uniform_prior(3), hull)
+
+    def test_prior_dimension_must_match(self):
+        hull = belief_set([(F(1, 2), F(1, 2))])
+        with pytest.raises(InvalidInput):
+            regular_prior_check(IID_UNIFORM, binary_symmetric("3/4"), uniform_prior(3), hull)
+
 
 class TestMergingHorizon:
     def test_chain_mixing_profile(self):

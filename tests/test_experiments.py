@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from expord import (
     InvalidInput,
+    Prior,
     Weight,
     apply_weight,
     decision_problem,
@@ -21,6 +22,7 @@ from expord import (
     validate_experiment,
     weight_check,
 )
+from expord.experiments import check_belief
 from expord.generators import (
     binary_symmetric,
     perfect_experiment,
@@ -215,6 +217,62 @@ class TestDecisionProblem:
     def test_prior_length_must_match(self):
         with pytest.raises(InvalidInput):
             decision_problem([["1", "0"]], ["1/3", "1/3", "1/3"])
+
+
+class TestBayes:
+    def test_posterior_and_mass(self):
+        mass, posterior = binary_symmetric("3/5").bayes((F(1, 2), F(1, 2)), 0)
+        assert mass == F(1, 2) and posterior == (F(3, 5), F(2, 5))
+
+    def test_unnormalized_measure_scales_the_mass_only(self):
+        e = binary_symmetric("3/5")
+        mass, posterior = e.bayes((F(1, 3), F(2, 3)), 1)
+        scaled_mass, scaled = e.bayes((F(1, 6), F(1, 3)), 1)
+        assert scaled_mass == mass / 2 and scaled == posterior
+
+    def test_zero_mass_has_no_posterior(self):
+        assert perfect_experiment(2).bayes((F(1), F(0)), 1) == (F(0), None)
+
+    def test_measure_dimension_checked(self):
+        with pytest.raises(InvalidInput):
+            binary_symmetric("3/5").bayes((F(1, 3), F(1, 3), F(1, 3)), 0)
+
+
+class TestBestResponse:
+    def test_ties_go_to_the_lowest_index(self):
+        dp = decision_problem([["1", "0"], ["0", "1"]], ["1/2", "1/2"])
+        assert dp.best_response((F(1, 2), F(1, 2))) == (F(1, 2), 0)
+
+    def test_unnormalized_measure(self):
+        dp = decision_problem([["1", "0"], ["0", "1"], ["0", "0"]], ["1/2", "1/2"])
+        assert dp.best_response((F(1, 10), F(3, 10))) == (F(3, 10), 1)
+
+    def test_measure_dimension_checked(self):
+        dp = decision_problem([["1", "0"]], ["1/2", "1/2"])
+        with pytest.raises(InvalidInput):
+            dp.best_response((F(1),))
+
+
+class TestCheckBelief:
+    def test_converts_to_fractions(self):
+        assert check_belief(["1/4", 0, F(3, 4)], 3) == (F(1, 4), F(0), F(3, 4))
+
+    def test_prior_weights_are_a_belief(self):
+        weights = Prior(weights=(F(1, 3), F(2, 3))).weights
+        assert check_belief(weights, 2) == weights
+
+    @pytest.mark.parametrize(
+        "belief, n_states",
+        [
+            ((F(1, 2), F(1, 2)), 3),
+            ((F(3, 2), F(-1, 2)), 2),
+            ((F(1, 2), F(1, 4)), 2),
+            ((F(0), F(0)), 2),
+        ],
+    )
+    def test_rejects_non_beliefs(self, belief, n_states):
+        with pytest.raises(InvalidInput):
+            check_belief(belief, n_states)
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,6 +28,7 @@ from expord import (
     markov_chain,
     to_conditional,
     uniform_prior,
+    validate_experiment,
     verify_certificate,
 )
 from expord import documents as docs
@@ -100,6 +101,14 @@ class TestDocumentValidation:
         doc["pi"]["matrix"][0] = ["2/5", "3/5"]
         with pytest.raises(InvalidInput):
             docs.certificate_from_doc(doc)
+
+    def test_conditional_digest_tamper_detected(self):
+        pi_prime = three_signal_family("4/5")
+        ce = to_conditional(pi_prime, make_weight(pi_prime, ["0", "2", "2"]))
+        doc = docs.conditional_to_doc(ce)
+        doc["base"] = docs.experiment_to_doc(three_signal_family("9/10"))
+        with pytest.raises(InvalidInput, match="base_digest"):
+            docs.conditional_from_doc(doc)
 
     def test_stated_beta_must_match(self):
         doc = self._cert_doc()
@@ -285,6 +294,23 @@ class TestBeliefCommands:
         assert code == 1
         assert "separating" in json.dumps(doc)
 
+    @pytest.mark.parametrize(
+        "point, generators",
+        [
+            ("1/2,1/4", "1,0;0,1"),
+            ("2,2", "1,0;0,1"),
+            ("0,0", "1,0;0,1"),
+            ("1/2,1/2", "2,0;0,2"),
+        ],
+    )
+    def test_hull_check_non_belief_exits_two(self, capsys, point, generators):
+        # The separating functional folds the offset in assuming every point
+        # sums to one, so these used to fail its re-check and exit 3.
+        code, doc = invoke(
+            capsys, "hull-check", "--point", point, "--generators", generators
+        )
+        assert code == 2 and doc is None
+
     def test_beliefs_check_agrees_with_the_lp_path(self, files, capsys):
         code, doc = invoke(
             capsys, "beliefs-check", files["pi"], files["family_hi"], "--prior", "1/2,1/2"
@@ -369,6 +395,36 @@ class TestDynamicsCommands:
         assert code == 0
         assert doc["horizon"] == 4
         assert doc["profile"] == ["4/5", "8/25", "16/125", "32/625"]
+
+    @pytest.mark.parametrize(
+        "experiment, chain",
+        [
+            (
+                validate_experiment([["1/2", "1/2"], ["1/4", "3/4"], ["9/10", "1/10"]]),
+                markov_chain([["7/10", "3/10"], ["3/10", "7/10"]]),
+            ),
+            (
+                binary_symmetric("4/5"),
+                markov_chain([["1/3", "1/3", "1/3"], ["1/2", "1/4", "1/4"], ["1/4", "1/4", "1/2"]]),
+            ),
+            (
+                binary_symmetric("4/5"),
+                markov_chain([["7/10", "3/10"], ["3/10", "7/10"]], states=["x0", "x1"]),
+            ),
+        ],
+        ids=["three-state-experiment", "three-state-chain", "other-labels"],
+    )
+    def test_merge_horizon_state_mismatch_exits_two(self, tmp_path, capsys, experiment, chain):
+        experiment_path = tmp_path / "experiment.json"
+        experiment_path.write_text(docs.dump_document(docs.experiment_to_doc(experiment)))
+        chain_path = tmp_path / "chain.json"
+        chain_path.write_text(docs.dump_document(docs.chain_to_doc(chain)))
+        code = run(
+            ["merge-horizon", str(experiment_path), "--chain", str(chain_path), "--eps", "1/10"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: chain and experiment must share state labels\n"
 
     def test_stopping(self, files, capsys):
         code, doc = invoke(
@@ -548,4 +604,150 @@ class TestExitCodeFuzz:
                 io.StringIO()
             ):
                 code = run(["check", "weighted", *paths])
+        assert code in (0, 1, 2)
+
+
+# Small, well-formed documents whose state counts and labels are drawn
+# independently of each other, so mismatched inputs are common.
+_STATE_LABELS = ["t0", "t1", "t2", "x0"]
+
+
+@st.composite
+def _distribution(draw, size):
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    return [str(Fraction(w, sum(weights))) for w in weights]
+
+
+_states = st.lists(st.sampled_from(_STATE_LABELS), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def _experiment_docs(draw):
+    states = draw(_states)
+    n_signals = draw(st.integers(1, 3))
+    return {
+        "kind": "experiment",
+        "states": states,
+        "signals": [f"s{j}" for j in range(n_signals)],
+        "matrix": [draw(_distribution(n_signals)) for _ in states],
+    }
+
+
+@st.composite
+def _chain_docs(draw):
+    states = draw(_states)
+    return {
+        "kind": "chain",
+        "states": states,
+        "transition": [draw(_distribution(len(states))) for _ in states],
+    }
+
+
+@st.composite
+def _problem_docs(draw):
+    n_states = draw(st.integers(1, 3))
+    n_actions = draw(st.integers(1, 3))
+    payoff = st.sampled_from(["0", "1", "-1", "1/3", "-1/2", "2"])
+    return {
+        "kind": "decision_problem",
+        "actions": [f"a{k}" for k in range(n_actions)],
+        "payoffs": [
+            draw(st.lists(payoff, min_size=n_states, max_size=n_states))
+            for _ in range(n_actions)
+        ],
+        "prior": draw(_distribution(n_states)),
+    }
+
+
+_vectors = st.lists(
+    st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4", "2", "-1/2"]),
+    min_size=1,
+    max_size=3,
+).map(",".join)
+
+
+def _run_on(documents, build_argv) -> int:
+    """Write each document to a file and run the command built from their paths."""
+    with tempfile.TemporaryDirectory() as folder:
+        paths = []
+        for k, doc in enumerate(documents):
+            path = os.path.join(folder, f"doc{k}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            paths.append(path)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            return run(build_argv(*paths))
+
+
+class TestSubcommandFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=_problem_docs(), experiment=_experiment_docs())
+    def test_value(self, problem, experiment):
+        assert _run_on([problem, experiment], lambda p, e: ["value", p, e]) in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=_problem_docs(),
+        pi=_experiment_docs(),
+        pi_prime=_experiment_docs(),
+        beta=st.sampled_from(["1", "3/2", "2", "1/2"]),
+    )
+    def test_bound_verify(self, problem, pi, pi_prime, beta):
+        code = _run_on(
+            [problem, pi, pi_prime],
+            lambda p, a, b: ["bound-verify", p, a, b, "--beta", beta],
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=_problem_docs(),
+        experiment=_experiment_docs(),
+        chain=_chain_docs(),
+        horizon=st.integers(0, 3),
+    )
+    def test_stopping(self, problem, experiment, chain, horizon):
+        code = _run_on(
+            [problem, experiment, chain],
+            lambda p, e, c: ["stopping", p, e, "--chain", c, "--horizon", str(horizon)],
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        experiment=_experiment_docs(),
+        chain=_chain_docs(),
+        eps=st.sampled_from(["0", "1/10", "1/2", "2"]),
+        n_max=st.integers(0, 3),
+    )
+    def test_merge_horizon(self, experiment, chain, eps, n_max):
+        code = _run_on(
+            [experiment, chain],
+            lambda e, c: ["merge-horizon", e, "--chain", c, "--eps", eps, "--nmax", str(n_max)],
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        experiment=_experiment_docs(),
+        chain=_chain_docs(),
+        tol=st.sampled_from(["0", "1/100"]),
+        max_iter=st.integers(0, 2),
+    )
+    def test_eta(self, experiment, chain, tol, max_iter):
+        code = _run_on(
+            [experiment, chain],
+            lambda e, c: ["eta", e, "--chain", c, "--tol", tol, "--max-iter", str(max_iter)],
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point=_vectors, generators=st.lists(_vectors, min_size=1, max_size=3))
+    def test_hull_check(self, point, generators):
+        code = _run_on(
+            [],
+            lambda: ["hull-check", "--point", point, "--generators", ";".join(generators)],
+        )
         assert code in (0, 1, 2)
