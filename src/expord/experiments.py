@@ -11,15 +11,23 @@ Three decisions every other layer makes live here, once each: Bayes' rule
 (:meth:`Experiment.bayes`), the best action against a belief
 (:meth:`DecisionProblem.best_response`), and what counts as a belief
 (:func:`check_belief`).
+
+A decision problem also keeps its payoff table as integers over one
+positive denominator, the LCM of the payoff denominators, computed once
+when the problem is built.  The best response scores every action in
+Python ints against a measure scaled the same way, so no Fraction is
+normalized until the single score it returns.  Positive scale factors
+keep every comparison and every tie exactly as in Fractions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from .numerics import InvalidInput, RationalLike, as_rational
+from .numerics import InvalidInput, RationalLike, _clear_denominators, as_rational
 
 
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
@@ -352,11 +360,17 @@ class DecisionProblem:
     """Finitely many actions, an exact payoff table, and a prior.
 
     ``payoffs[a][i]`` is the payoff of action ``actions[a]`` in state ``i``.
+    The table is also kept over one denominator: ``payoff_ints[a][i]`` is
+    the integer ``payoffs[a][i] * payoff_scale``, where ``payoff_scale`` is
+    the LCM of the payoff denominators.  Both are derived at construction
+    and take no part in equality, hashing or the repr.
     """
 
     actions: tuple[str, ...]
     payoffs: tuple[tuple[Fraction, ...], ...]
     prior: Prior
+    payoff_ints: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    payoff_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_labels(self.actions, "action")
@@ -369,6 +383,12 @@ class DecisionProblem:
             for entry in row:
                 if not isinstance(entry, Fraction):
                     raise InvalidInput("payoffs must be Fractions")
+        flat, scale = _clear_denominators([u for row in self.payoffs for u in row])
+        rows = tuple(
+            tuple(flat[k : k + n_states]) for k in range(0, len(flat), n_states)
+        )
+        object.__setattr__(self, "payoff_ints", rows)
+        object.__setattr__(self, "payoff_scale", scale)
 
     @property
     def n_actions(self) -> int:
@@ -384,18 +404,26 @@ class DecisionProblem:
         Action ``a`` scores sum_t payoffs[a][t] measure[t]; ties go to the
         lowest index.  A belief gives the expected payoff of acting on it,
         and an unnormalized measure such as prior times likelihood gives
-        that payoff weighted by the measure's mass.
+        that payoff weighted by the measure's mass.  The scores are compared
+        as integers over the one positive denominator that clears both the
+        payoffs and the measure, which orders them exactly as Fractions.
         """
         if len(measure) != self.n_states:
             raise InvalidInput("measure dimension does not match the state set")
-        best_score = None
-        best_action = 0
-        for a, row in enumerate(self.payoffs):
-            score = sum((u * m for u, m in zip(row, measure)), Fraction(0))
-            if best_score is None or score > best_score:
-                best_score = score
-                best_action = a
-        return best_score, best_action
+        weights, scale = _clear_denominators(measure)
+        score, action = self._argmax(weights)
+        return Fraction(score, self.payoff_scale * scale), action
+
+    def _argmax(self, weights: Sequence[int]) -> tuple[int, int]:
+        """Best integer score sum_t payoff_ints[a][t] weights[t] and its action.
+
+        ``weights`` is a measure times a positive integer.  The score is in
+        units of ``1 / (payoff_scale * that integer)``; ties go to the lowest
+        action index.
+        """
+        scores = [sum(map(mul, row, weights)) for row in self.payoff_ints]
+        best = max(scores)
+        return best, scores.index(best)
 
 
 def decision_problem(

@@ -362,6 +362,13 @@ def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``D * v`` for each ``v`` as ints, and ``D``, the LCM of the denominators."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
+
+
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve an exact LP, returning a verified outcome.
 
@@ -484,8 +491,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 del tableau.basis[i]
 
     phase2_cost = [sign * cost_orig[var] for var, sign in col_var]
-    cost_scale = lcm(*[c.denominator for c in phase2_cost])
-    tableau.set_cost(_scaled(phase2_cost, cost_scale) + [0] * (n_slack + n_art))
+    cost, _ = _clear_denominators(phase2_cost)
+    tableau.set_cost(cost + [0] * (n_slack + n_art))
     status, entering = tableau.minimize(banned=artificial_cols)
 
     if status == UNBOUNDED:

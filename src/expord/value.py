@@ -12,6 +12,14 @@ for every decision problem, and the guarantee is not merely sound but
 complete: when the order fails at size beta, an explicitly violating
 decision problem can be constructed from the dual of a Blackwell
 feasibility LP on the diluted experiment.
+
+The value and the bound run on integers.  :func:`value` scales the prior
+and the likelihood matrix once per call, forms each signal's joint measure
+in ints, and scores it against the problem's integer payoff table;
+:func:`verify_bound` puts the three values and beta over one denominator,
+so its slack is one integer whose sign is the verdict.  Each result is a
+single exact Fraction, and :class:`BoundReport` re-checks the slack in
+Fractions on construction.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .experiments import (
     DecisionProblem,
@@ -27,7 +36,13 @@ from .experiments import (
     dilute,
     residual_experiment,
 )
-from .numerics import InternalError, InvalidInput, RationalLike, as_rational
+from .numerics import (
+    InternalError,
+    InvalidInput,
+    RationalLike,
+    _clear_denominators,
+    as_rational,
+)
 from .order import GarblingCertificate, blackwell_farkas, verify_certificate
 
 
@@ -49,6 +64,17 @@ def _check_compatible(problem: DecisionProblem, experiment: Experiment) -> None:
         raise InvalidInput("decision problem and experiment state sets differ")
 
 
+def _check_policy(problem: DecisionProblem, policy: PolicyTable) -> None:
+    for label, index in zip(policy.actions, policy.indices):
+        if not (isinstance(index, int) and 0 <= index < problem.n_actions):
+            raise InvalidInput(f"policy action index {index!r} is out of range")
+        if problem.actions[index] != label:
+            raise InvalidInput(
+                f"policy labels action {index} {label!r}, "
+                f"but the problem calls it {problem.actions[index]!r}"
+            )
+
+
 def policy_payoff(
     problem: DecisionProblem, experiment: Experiment, policy: PolicyTable
 ) -> Fraction:
@@ -56,6 +82,7 @@ def policy_payoff(
     _check_compatible(problem, experiment)
     if policy.signals != experiment.signals:
         raise InvalidInput("policy is indexed by a different signal set")
+    _check_policy(problem, policy)
     total = Fraction(0)
     for t in range(problem.n_states):
         weight = problem.prior.weights[t]
@@ -72,18 +99,19 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
 
     Each signal is treated separately: the optimal plan plays, on signal
     s, the best response to the joint measure mu(t) pi(s|t), ties broken
-    toward the lowest action index.
+    toward the lowest action index.  The joint measures, the scores and
+    the total are ints; one Fraction is built at the end.
     """
     _check_compatible(problem, experiment)
-    total = Fraction(0)
+    weights, prior_scale = _clear_denominators(problem.prior.weights)
+    flat, matrix_scale = _clear_denominators(
+        [p for row in experiment.matrix for p in row]
+    )
+    n_signals = experiment.n_signals
+    total = 0
     chosen: list[int] = []
-    for j in range(experiment.n_signals):
-        score, action = problem.best_response(
-            tuple(
-                problem.prior.weights[t] * experiment.matrix[t][j]
-                for t in range(problem.n_states)
-            )
-        )
+    for j in range(n_signals):
+        score, action = problem._argmax(list(map(mul, weights, flat[j::n_signals])))
         total += score
         chosen.append(action)
     policy = PolicyTable(
@@ -91,7 +119,7 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
         actions=tuple(problem.actions[a] for a in chosen),
         indices=tuple(chosen),
     )
-    return total, policy
+    return Fraction(total, problem.payoff_scale * prior_scale * matrix_scale), policy
 
 
 def value_null(problem: DecisionProblem) -> Fraction:
@@ -133,14 +161,21 @@ def verify_bound(
     value_prime, _ = value(problem, pi_prime)
     value_pi, _ = value(problem, pi)
     base = value_null(problem)
-    slack = value_prime - (value_pi / scale + (1 - 1 / scale) * base)
+    # With beta = b/c, V(P') = p1/q1, V(P) = p2/q2 and V(null) = p3/q3, the
+    # slack is one integer over the positive denominator b q1 q2 q3, so its
+    # sign is the numerator's.
+    b, c = scale.numerator, scale.denominator
+    p1, q1 = value_prime.numerator, value_prime.denominator
+    p2, q2 = value_pi.numerator, value_pi.denominator
+    p3, q3 = base.numerator, base.denominator
+    numerator = b * p1 * q2 * q3 - c * p2 * q1 * q3 - (b - c) * p3 * q1 * q2
     return BoundReport(
         value_prime=value_prime,
         value_pi=value_pi,
         value_noinfo=base,
         beta=scale,
-        slack=slack,
-        holds=slack >= 0,
+        slack=Fraction(numerator, b * q1 * q2 * q3),
+        holds=numerator >= 0,
     )
 
 
@@ -237,6 +272,8 @@ def mixed_strategy_payoff(
         raise InvalidInput("policy is indexed by a different signal set")
     if residual_policy.signals != pi_prime.signals:
         raise InvalidInput("residual policy must be indexed by pi_prime's signals")
+    _check_policy(problem, policy)
+    _check_policy(problem, residual_policy)
     beta = certificate.beta
     if beta == 1:
         raise InvalidInput(

@@ -1,0 +1,47 @@
+"""Golden outputs: the self-test and the four demos print fixed bytes.
+
+Each command runs as a subprocess, and the MD5 of its stdout must match the
+recorded digest.  A change that is meant to keep every answer the same (a
+faster kernel, a refactor) must keep these digests; a change that is meant
+to alter an answer updates the digest together with the reason.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import expord
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+GOLDEN = {
+    "selftest": (
+        ["-m", "expord.cli", "selftest", "--seed", "0"],
+        "621374fb3c744efcca519b6adfa73e3a",
+    ),
+    "belief_geometry": (
+        ["demos/belief_geometry.py"], "17d44630c131af4af0643165470c816d"
+    ),
+    "order_certificates": (
+        ["demos/order_certificates.py"], "eca329b3d30a28cf72a235b1b30e9740"
+    ),
+    "stopping_dynamics": (
+        ["demos/stopping_dynamics.py"], "4275c2d013f287da45f85151e4275b8e"
+    ),
+    "value_bounds": (["demos/value_bounds.py"], "a121bbc9364e4298c1a5d04950941dcc"),
+}
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN.values(), ids=GOLDEN)
+def test_stdout_matches_the_golden_digest(argv, digest):
+    src = os.path.dirname(os.path.dirname(expord.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, *argv],
+        cwd=ROOT, env=env, capture_output=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
+    assert hashlib.md5(done.stdout).hexdigest() == digest

@@ -622,8 +622,8 @@ _states = st.lists(st.sampled_from(_STATE_LABELS), min_size=1, max_size=3, uniqu
 
 
 @st.composite
-def _experiment_docs(draw):
-    states = draw(_states)
+def _experiment_docs(draw, states=None):
+    states = draw(_states) if states is None else states
     n_signals = draw(st.integers(1, 3))
     return {
         "kind": "experiment",
@@ -664,6 +664,55 @@ _vectors = st.lists(
     min_size=1,
     max_size=3,
 ).map(",".join)
+
+
+@st.composite
+def _experiment_runs(draw, length):
+    """Experiment documents that often share the first one's states or repeat
+    the previous one, so that ordered pairs are common."""
+    runs = [draw(_experiment_docs())]
+    while len(runs) < length:
+        how = draw(st.sampled_from(["repeat", "same states", "fresh"]))
+        if how == "repeat":
+            runs.append(runs[-1])
+        elif how == "same states":
+            runs.append(draw(_experiment_docs(runs[0]["states"])))
+        else:
+            runs.append(draw(_experiment_docs()))
+    return runs
+
+
+def _priors(n_states):
+    """A comma-separated prior, of the given dimension or of any."""
+    return st.one_of(
+        _distribution(n_states), st.integers(1, 3).flatmap(_distribution)
+    ).map(",".join)
+
+
+def _certificate_doc(pi_doc, pi_prime_doc):
+    """The certificate ``check weighted`` prints for the pair, or ``pi_doc``.
+
+    When the pair is invalid or unordered there is no certificate, and the
+    experiment document stands in for it, so a command expecting a
+    certificate gets the wrong kind of document.
+    """
+    try:
+        certificate = check_weighted(
+            docs.experiment_from_doc(pi_doc), docs.experiment_from_doc(pi_prime_doc)
+        )
+    except InvalidInput:
+        return pi_doc
+    return pi_doc if certificate is None else docs.certificate_to_doc(certificate)
+
+
+def _conditional_doc(pi_doc, pi_prime_doc):
+    """The document ``conditional to`` prints for the pair's certificate, or ``pi_doc``."""
+    try:
+        certificate = docs.certificate_from_doc(_certificate_doc(pi_doc, pi_prime_doc))
+        conditional = to_conditional(certificate.pi_prime, certificate.weight())
+    except InvalidInput:
+        return pi_doc
+    return docs.conditional_to_doc(conditional)
 
 
 def _run_on(documents, build_argv) -> int:
@@ -750,4 +799,48 @@ class TestSubcommandFuzz:
             [],
             lambda: ["hull-check", "--point", point, "--generators", ";".join(generators)],
         )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(2))
+    def test_size_interval(self, run):
+        assert _run_on(run, lambda a, b: ["size-interval", a, b]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(4))
+    def test_compose(self, run):
+        # The outer certificate starts where the inner one ends when run[2]
+        # repeats run[1]; otherwise the two need not chain.
+        inner = _certificate_doc(run[0], run[1])
+        outer = _certificate_doc(run[2], run[3])
+        assert _run_on([inner, outer], lambda i, o: ["compose", i, o]) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(2))
+    def test_conditional_to(self, run):
+        code = _run_on([_certificate_doc(*run)], lambda c: ["conditional", "to", c])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(3))
+    def test_conditional_from(self, run):
+        pi, pi_prime, below = run
+        code = _run_on(
+            [_conditional_doc(pi, pi_prime), below],
+            lambda c, e: ["conditional", "from", c, e],
+        )
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(2), data=st.data())
+    def test_beliefs_check(self, run, data):
+        prior = data.draw(_priors(len(run[0]["states"])))
+        code = _run_on(run, lambda a, b: ["beliefs-check", a, b, "--prior", prior])
+        assert code in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=_experiment_runs(2), data=st.data())
+    def test_counterexample(self, run, data):
+        prior = data.draw(_priors(len(run[0]["states"])))
+        code = _run_on(run, lambda a, b: ["counterexample", a, b, "--prior", prior])
         assert code in (0, 1, 2)

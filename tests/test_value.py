@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expord import (
+    DecisionProblem,
+    Experiment,
     InvalidInput,
     PolicyTable,
+    Prior,
     check_blackwell,
     decision_problem,
     falsify_bound,
@@ -19,12 +24,14 @@ from expord import (
     value_null,
     verify_bound,
 )
+from expord import documents as docs
 from expord.generators import (
     binary_symmetric,
     perfect_experiment,
     three_signal_family,
     uninformative_experiment,
 )
+from reference_value import reference_best_response, reference_value
 
 F = Fraction
 
@@ -216,3 +223,166 @@ class TestMixedStrategyPayoff:
         sigma = value(MATCHING, e)[1]
         with pytest.raises(InvalidInput):
             mixed_strategy_payoff(MATCHING, e, e, cert, sigma, sigma)
+
+
+class TestPolicyValidation:
+    """A policy's indices must name the problem's actions under its labels."""
+
+    BAD_POLICIES = {
+        "negative index": (("a1", "a1"), (-1, -1)),
+        "index past the last action": (("a0", "a5"), (0, 5)),
+        "label contradicts the index": (("a0", "a0"), (1, 1)),
+    }
+
+    @pytest.mark.parametrize("actions, indices", BAD_POLICIES.values(), ids=BAD_POLICIES)
+    def test_policy_payoff_rejects(self, actions, indices):
+        e = binary_symmetric("4/5")
+        policy = PolicyTable(signals=e.signals, actions=actions, indices=indices)
+        with pytest.raises(InvalidInput):
+            policy_payoff(MATCHING, e, policy)
+
+    @pytest.mark.parametrize("actions, indices", BAD_POLICIES.values(), ids=BAD_POLICIES)
+    def test_mixed_strategy_payoff_rejects_the_policy(self, actions, indices):
+        pi = binary_symmetric("4/5")
+        pi_prime = three_signal_family("9/10")
+        _, cert = min_size(pi, pi_prime)
+        good_residual = value(MATCHING, residual_for(cert))[1]
+        policy = PolicyTable(signals=pi.signals, actions=actions, indices=indices)
+        with pytest.raises(InvalidInput):
+            mixed_strategy_payoff(MATCHING, pi, pi_prime, cert, policy, good_residual)
+
+    @pytest.mark.parametrize("actions, indices", BAD_POLICIES.values(), ids=BAD_POLICIES)
+    def test_mixed_strategy_payoff_rejects_the_residual_policy(self, actions, indices):
+        pi = binary_symmetric("4/5")
+        pi_prime = three_signal_family("9/10")
+        _, cert = min_size(pi, pi_prime)
+        good_policy = value(MATCHING, pi)[1]
+        residual = PolicyTable(
+            signals=pi_prime.signals, actions=actions + ("a0",), indices=indices + (0,)
+        )
+        with pytest.raises(InvalidInput):
+            mixed_strategy_payoff(MATCHING, pi, pi_prime, cert, good_policy, residual)
+
+
+# Rationals for the differential test: a small pool, so that ties between
+# actions are common, and wide ones with denominators up to 10**30.
+_SMALL = [F(0), F(1), F(-1), F(1, 2), F(-1, 3), F(2, 3)]
+_rationals = st.one_of(
+    st.sampled_from(_SMALL),
+    st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+)
+_masses = st.one_of(
+    st.just(F(0)),
+    st.sampled_from(_SMALL[1:]).map(abs),
+    st.builds(F, st.integers(0, 10**30), st.integers(1, 10**30)),
+)
+
+
+@st.composite
+def _problems(draw, n_states):
+    n_actions = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_rationals, min_size=n_states, max_size=n_states),
+                         min_size=1, max_size=n_actions))
+    # Repeat a row now and then, so that whole actions tie.
+    rows += draw(st.lists(st.sampled_from(rows), max_size=1))
+    weights = draw(st.lists(_masses, min_size=n_states, max_size=n_states))
+    assume(any(weights))
+    total = sum(weights)
+    return DecisionProblem(
+        actions=tuple(f"a{k}" for k in range(len(rows))),
+        payoffs=tuple(tuple(row) for row in rows),
+        prior=Prior(weights=tuple(w / total for w in weights)),
+    )
+
+
+@st.composite
+def _experiments(draw, n_states):
+    n_signals = draw(st.integers(1, 4))
+    silent = draw(st.lists(st.booleans(), min_size=n_signals, max_size=n_signals))
+    live = [j for j in range(n_signals) if not silent[j]] or [0]
+    matrix = []
+    for _ in range(n_states):
+        row = [F(0)] * n_signals
+        for j in live:
+            row[j] = draw(_masses)
+        if not any(row):
+            row[live[0]] = F(1)
+        total = sum(row)
+        matrix.append(tuple(entry / total for entry in row))
+    return Experiment(
+        states=tuple(f"t{i}" for i in range(n_states)),
+        signals=tuple(f"s{j}" for j in range(n_signals)),
+        matrix=tuple(matrix),
+    )
+
+
+class TestAgainstFractionLoops:
+    """The integer kernel against the Fraction loops it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_states=st.integers(1, 4))
+    def test_best_response(self, data, n_states):
+        problem = data.draw(_problems(n_states))
+        measure = tuple(
+            data.draw(st.lists(st.one_of(_rationals, _masses),
+                               min_size=n_states, max_size=n_states))
+        )
+        got = problem.best_response(measure)
+        assert got == reference_best_response(problem, measure)
+        assert type(got[0]) is Fraction
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_states=st.integers(1, 4))
+    def test_value(self, data, n_states):
+        problem = data.draw(_problems(n_states))
+        experiment = data.draw(_experiments(n_states))
+        assert value(problem, experiment) == reference_value(problem, experiment)
+        assert value_null(problem) == reference_best_response(
+            problem, problem.prior.weights
+        )[0]
+
+    def test_tie_and_silent_signal(self):
+        problem = decision_problem([["1", "0"], ["1", "0"], ["0", "1"]], ["1", "0"])
+        experiment = Experiment(
+            states=("t0", "t1"),
+            signals=("s0", "s1"),
+            matrix=((F(1), F(0)), (F(0), F(1))),
+        )
+        # s0 ties a0 with a1; s1 has zero mass, so every action scores 0.
+        assert value(problem, experiment) == reference_value(problem, experiment)
+        assert value(problem, experiment)[1].indices == (0, 0)
+
+
+class TestDerivedFieldsInvisible:
+    """The integer payoff table does not change equality, hashing or repr."""
+
+    def test_integer_table(self):
+        dp = decision_problem([["1/2", "1/3"], ["-1/4", "0"]], ["1/2", "1/2"])
+        assert dp.payoff_scale == 12
+        assert dp.payoff_ints == ((6, 4), (-3, 0))
+
+    def test_equality_hash_and_repr(self):
+        one = decision_problem([["1/2", "-1"]], ["1/3", "2/3"])
+        two = decision_problem([["2/4", "-3/3"]], [F(1, 3), "4/6"])
+        other = decision_problem([["1/2", "1"]], ["1/3", "2/3"])
+        assert one == two and hash(one) == hash(two)
+        assert one != other
+        assert len({one, two, other}) == 2
+        assert repr(one) == (
+            "DecisionProblem(actions=('a0',), "
+            "payoffs=((Fraction(1, 2), Fraction(-1, 1)),), "
+            "prior=Prior(weights=(Fraction(1, 3), Fraction(2, 3))))"
+        )
+
+    def test_document_round_trip(self):
+        for seed in range(20):
+            dp = random_decision_problem(seed, 3, 2, denominator_bound=10**6)
+            back = docs.decision_problem_from_doc(docs.decision_problem_to_doc(dp))
+            assert back == dp and hash(back) == hash(dp)
+            assert back.payoff_ints == dp.payoff_ints
+            assert back.payoff_scale == dp.payoff_scale
+
+    @pytest.mark.parametrize("measure", [(F(1),), (F(1, 3),) * 3, ()])
+    def test_best_response_checks_the_dimension(self, measure):
+        with pytest.raises(InvalidInput):
+            MATCHING.best_response(measure)
