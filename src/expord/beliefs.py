@@ -99,8 +99,6 @@ def posteriors(experiment: Experiment, mu0: Prior) -> PosteriorDistribution:
     a full-support prior so every surviving signal has a well-defined
     posterior.
     """
-    if len(mu0.weights) != experiment.n_states:
-        raise InvalidInput("prior dimension does not match the state set")
     if not mu0.full_support:
         raise InvalidInput("posteriors require a full-support prior")
     atoms: list[tuple[list[str], Belief, Fraction]] = []
@@ -374,7 +372,7 @@ def coupling_from_certificate(
     pi, pi_prime = certificate.pi, certificate.pi_prime
     source = posteriors(pi, mu0)
     target = posteriors(regularize(pi_prime), mu0)
-    signal_mass = pi_prime.signal_probability(mu0)
+    signal_mass = [pi_prime.bayes(mu0.weights, j)[0] for j in range(pi_prime.n_signals)]
     row_of: dict[str, int] = {}
     for i, atom in enumerate(source.atoms):
         for signal in atom.signals:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Union
+from functools import partial
+from itertools import combinations
+from typing import Callable, Sequence, Union
 
 from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
-from .experiments import DecisionProblem, Experiment, Prior, check_belief
+from .experiments import DecisionProblem, Experiment, Prior, _default_labels, check_belief
 from .numerics import (
     EQ,
     GE,
@@ -44,9 +45,13 @@ from .order import check_weighted
 Tolerance = Union[RationalLike, float]
 
 # Deepest signal history stopping_value and merging_horizon will expand.
-# Two signals already reach the 2**20 node limit at this depth; the cap
-# also bounds the recursion and the power in that limit check.
 _MAX_DEPTH = 20
+
+# Most (node, signal) steps one level of stopping_value or merging_horizon may
+# take: a level of distinct nodes is expanded only if len(level) * n_signals
+# stays within it.  A level at depth t holds at most n_signals ** t nodes, so
+# any depth T with n_signals ** T within the budget is always reached.
+_MAX_STEPS = 2 ** 20
 
 
 def as_tolerance(value: Tolerance) -> Fraction:
@@ -108,21 +113,13 @@ def markov_chain(
     rows: Sequence[Sequence[RationalLike]], states: Sequence[str] | None = None
 ) -> MarkovChain:
     converted = tuple(tuple(as_rational(entry) for entry in row) for row in rows)
-    labels = (
-        tuple(states)
-        if states is not None
-        else tuple(f"t{i}" for i in range(len(converted)))
-    )
+    labels = tuple(states) if states is not None else _default_labels("t", len(converted))
     return MarkovChain(states=labels, rows=converted)
 
 
 def iid_chain(prior: Prior, states: Sequence[str] | None = None) -> MarkovChain:
     """The chain whose every row is the given distribution."""
-    labels = (
-        tuple(states)
-        if states is not None
-        else tuple(f"t{i}" for i in range(len(prior.weights)))
-    )
+    labels = tuple(states) if states is not None else _default_labels("t", len(prior.weights))
     return MarkovChain(states=labels, rows=tuple(prior.weights for _ in labels))
 
 
@@ -146,6 +143,45 @@ def _check_shared_states(chain: MarkovChain, experiment: Experiment) -> None:
         raise InvalidInput("chain and experiment must share state labels")
 
 
+def _is_count(value: object) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _successors(chain: MarkovChain, experiment: Experiment, belief: Belief) -> list:
+    """The transition-then-signal step from a belief, for every signal.
+
+    The state moves one chain step; entry j is then
+    :meth:`~expord.experiments.Experiment.bayes` of signal j against the
+    pushed-forward belief, its mass and posterior (None at mass zero).
+    """
+    predicted = chain.push_forward(belief)
+    return [experiment.bayes(predicted, j) for j in range(experiment.n_signals)]
+
+
+def _expand(level: list, n_signals: int, children: Callable) -> tuple[list, list]:
+    """The distinct children of a level, and each node's edges into them.
+
+    ``children(node)`` gives one ``(mass, child)`` pair per signal, child
+    None at mass zero.  ``edges[i]`` holds a ``(mass, index into the next
+    level)`` pair per child of ``level[i]``, so each child is hashed once per
+    edge.  The level's ``len(level) * n_signals`` steps are checked against
+    ``_MAX_STEPS`` before the first is taken.
+    """
+    steps = len(level) * n_signals
+    if steps > _MAX_STEPS:
+        raise InvalidInput(
+            f"the next level takes {steps} steps ({len(level)} nodes x {n_signals} "
+            f"signals), more than the {_MAX_STEPS} allowed; lower the horizon"
+        )
+    index: dict = {}
+    edges = [
+        [(mass, index.setdefault(child, len(index))) for mass, child in pairs if child]
+        for pairs in map(children, level)
+    ]
+    return list(index), edges
+
+
 @dataclass(frozen=True)
 class BeliefSet:
     """A convex hull of beliefs, stored as its sorted extreme points."""
@@ -167,7 +203,6 @@ class BeliefSet:
         point = check_belief(belief, len(self.points[0]))
         n_gen = len(self.points)
         dim = len(point)
-        n_vars = n_gen + dim
         rows = []
         for t in range(dim):
             mix = [g[t] for g in self.points] + [Fraction(0)] * dim
@@ -209,12 +244,8 @@ def belief_set(points: Sequence[Sequence[Fraction]]) -> BeliefSet:
 def full_simplex(n_states: int) -> BeliefSet:
     if n_states < 1:
         raise InvalidInput("need at least one state")
-    points = []
-    for t in range(n_states):
-        point = [Fraction(0)] * n_states
-        point[t] = Fraction(1)
-        points.append(tuple(point))
-    return BeliefSet(points=tuple(points))
+    axes = range(n_states)
+    return BeliefSet(tuple(tuple(Fraction(int(t == u)) for u in axes) for t in axes))
 
 
 def update(
@@ -241,7 +272,7 @@ def update(
         j = signal
         if not 0 <= j < experiment.n_signals:
             raise InvalidInput(f"signal index {j} out of range")
-    _, posterior = experiment.bayes(chain.push_forward(point), j)
+    _, posterior = _successors(chain, experiment, point)[j]
     if posterior is None:
         raise InvalidInput(
             f"signal {experiment.signals[j]!r} has probability zero at this belief"
@@ -255,19 +286,18 @@ def eta_step(chain: MarkovChain, experiment: Experiment, hull: BeliefSet) -> Bel
     Updating is Bayes reweighting, which maps convex combinations to convex
     combinations, so the extreme points of the image hull come from extreme
     points of the input.  Requires full-support signal likelihoods so every
-    update is defined.
+    update is defined, and each point takes one transition-then-signal step.
     """
     if not experiment.has_full_support():
         raise InvalidInput(
             "hull iteration requires every signal to have positive "
             "probability in every state"
         )
-    images = [
-        update(chain, experiment, point, j)
-        for point in hull.points
-        for j in range(experiment.n_signals)
-    ]
-    return belief_set(images)
+    _check_shared_states(chain, experiment)
+    points = [check_belief(point, chain.n_states) for point in hull.points]
+    return belief_set(
+        [image for point in points for _, image in _successors(chain, experiment, point)]
+    )
 
 
 @dataclass(frozen=True)
@@ -298,14 +328,11 @@ def eta_limit(
     threshold = as_tolerance(tol)
     if chain.n_states > 3:
         raise InvalidInput("hull iteration supports at most three states")
-    if max_iter < 1:
-        raise InvalidInput("max_iter must be positive")
+    if not _is_count(max_iter) or max_iter < 1:
+        raise InvalidInput("max_iter must be a positive integer")
     current = full_simplex(chain.n_states)
-    iterations = 0
-    gap = Fraction(0)
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         following = eta_step(chain, experiment, current)
-        iterations += 1
         gap = max(following.l1_distance(point) for point in current.points)
         current = following
         if gap == 0 or gap < threshold:
@@ -328,12 +355,11 @@ def regular_prior_check(
     """
     threshold = as_tolerance(tol)
     _check_shared_states(chain, experiment)
-    predicted = chain.push_forward(check_belief(mu0.weights, chain.n_states))
-    for j in range(experiment.n_signals):
-        _, posterior = experiment.bayes(predicted, j)
-        if posterior is not None and hull.l1_distance(posterior) > threshold:
-            return False
-    return True
+    point = check_belief(mu0.weights, chain.n_states)
+    return all(
+        posterior is None or hull.l1_distance(posterior) <= threshold
+        for _, posterior in _successors(chain, experiment, point)
+    )
 
 
 @dataclass(frozen=True)
@@ -355,16 +381,17 @@ def merging_horizon(
 ) -> MergingReport:
     """Smallest history length after which posteriors forget the start state.
 
-    For each signal string, the row-normalized product of the matrices
-    R(s)[t][t'] = rho(t -> t') pi(s|t') gives the time-n posterior from
-    each starting state; the merging gap at n is the largest pairwise L1
-    row distance over all strings.  Returns the least n with gap below
-    epsilon, with the full gap profile up to that point.
+    A node is the tuple of posteriors, one per starting state, after one
+    signal string; its children are the transition-then-signal updates of
+    every entry by each signal.  Equal nodes are walked once.  The merging
+    gap at n is the largest pairwise L1 distance between the entries of a
+    node at depth n.  Returns the least n with gap below epsilon, with the
+    full gap profile up to that point.
     """
     threshold = as_tolerance(epsilon)
     _check_shared_states(chain, experiment)
-    if not 1 <= n_max <= _MAX_DEPTH:
-        raise InvalidInput(f"n_max must lie in 1..{_MAX_DEPTH}")
+    if not (_is_count(n_max) and 1 <= n_max <= _MAX_DEPTH):
+        raise InvalidInput(f"n_max must be an integer in 1..{_MAX_DEPTH}")
     if not chain.strictly_positive:
         raise InvalidInput("merging requires a strictly positive chain")
     for j, signal in enumerate(experiment.signals):
@@ -373,53 +400,26 @@ def merging_horizon(
                 f"signal {signal!r} is impossible in every state; "
                 "row normalization would divide by zero"
             )
-    if experiment.n_signals ** n_max > 2 ** 20:
-        raise InvalidInput("signal-string enumeration too large; lower n_max")
-    n = chain.n_states
-    step_matrices = [
-        tuple(
-            tuple(chain.rows[t][u] * experiment.matrix[u][j] for u in range(n))
-            for t in range(n)
-        )
-        for j in range(experiment.n_signals)
-    ]
 
-    def advance(product, step):
-        return tuple(
-            tuple(
-                sum((product[t][k] * step[k][u] for k in range(n)), Fraction(0))
-                for u in range(n)
-            )
-            for t in range(n)
+    def children(node):
+        # Under a strictly positive chain every possible signal has positive
+        # mass from every belief, so no posterior is None.
+        per_start = [_successors(chain, experiment, belief) for belief in node]
+        return [tuple(zip(*updates)) for updates in zip(*per_start)]
+
+    def gap(node) -> Fraction:
+        return max(
+            (sum(abs(x - y) for x, y in zip(p, q)) for p, q in combinations(node, 2)),
+            default=Fraction(0),
         )
 
-    def row_gap(product) -> Fraction:
-        normalized = []
-        for row in product:
-            mass = sum(row, Fraction(0))
-            normalized.append(tuple(entry / mass for entry in row))
-        worst = Fraction(0)
-        for a in range(n):
-            for b in range(a + 1, n):
-                distance = sum(
-                    (abs(x - y) for x, y in zip(normalized[a], normalized[b])),
-                    Fraction(0),
-                )
-                worst = max(worst, distance)
-        return worst
-
-    identity = tuple(
-        tuple(Fraction(1) if t == u else Fraction(0) for u in range(n))
-        for t in range(n)
-    )
-    level = [identity]
+    level = [tuple(full_simplex(chain.n_states).points)]
     profile: list[Fraction] = []
     horizon: int | None = None
     for depth in range(1, n_max + 1):
-        level = [advance(product, step) for product in level for step in step_matrices]
-        gap = max(row_gap(product) for product in level)
-        profile.append(gap)
-        if gap < threshold:
+        level, _ = _expand(level, experiment.n_signals, children)
+        profile.append(max(gap(node) for node in level))
+        if profile[-1] < threshold:
             horizon = depth
             break
     monotone = all(profile[k + 1] <= profile[k] for k in range(len(profile) - 1))
@@ -447,7 +447,7 @@ class StoppingProblem:
     horizon: int
 
     def __post_init__(self) -> None:
-        if self.horizon < 1:
+        if not _is_count(self.horizon) or self.horizon < 1:
             raise InvalidInput("the horizon must be a positive integer")
         if self.problem.n_states != self.chain.n_states:
             raise InvalidInput("decision problem and chain state sets differ")
@@ -458,38 +458,34 @@ class StoppingProblem:
 
 
 def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
-    """Exact optimal value by backward induction on the belief tree.
+    """Exact optimal value by backward induction over levels of beliefs.
 
-    W_T(mu) is the best immediate payoff, the decision problem's
+    Level t holds the distinct beliefs reachable after t periods, built
+    forward from the prior by transition-then-signal updates, with each
+    update kept as an edge (mass, index into level t + 1).  W_T(mu) is the
+    best immediate payoff, the decision problem's
     :meth:`~expord.experiments.DecisionProblem.best_response` to mu;
     earlier, W_t(mu) is the max of stopping now and the expected W_{t+1}
-    over the transition-then-signal update.  Beliefs repeat across the
-    tree, so values are memoized per (period, belief).
+    along mu's edges.
     """
     _check_shared_states(stopping.chain, experiment)
     if stopping.horizon > _MAX_DEPTH:
         raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
-    if experiment.n_signals ** stopping.horizon > 2 ** 20:
-        raise InvalidInput("belief tree too large; lower the horizon")
     problem = stopping.problem
-    chain = stopping.chain
-
-    @lru_cache(maxsize=None)
-    def w(t: int, belief: Belief) -> Fraction:
-        stop, _ = problem.best_response(belief)
-        if t == stopping.horizon:
-            return stop
-        predicted = chain.push_forward(belief)
-        continuation = Fraction(0)
-        for j in range(experiment.n_signals):
-            mass, posterior = experiment.bayes(predicted, j)
-            if posterior is not None:
-                continuation += mass * w(t + 1, posterior)
-        return max(stop, continuation)
-
-    result = w(0, tuple(problem.prior.weights))
-    w.cache_clear()
-    return result
+    step = partial(_successors, stopping.chain, experiment)
+    levels = [[tuple(problem.prior.weights)]]
+    edges = []
+    for _ in range(stopping.horizon):
+        following, links = _expand(levels[-1], experiment.n_signals, step)
+        levels.append(following)
+        edges.append(links)
+    values = [problem.best_response(belief)[0] for belief in levels.pop()]
+    for level, links in zip(reversed(levels), reversed(edges)):
+        values = [
+            max(problem.best_response(belief)[0], sum(m * values[k] for m, k in link))
+            for belief, link in zip(level, links)
+        ]
+    return values[0]
 
 
 def counterexample(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -32,6 +33,15 @@ from .numerics import InvalidInput, RationalLike, _clear_denominators, as_ration
 
 def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(count))
+
+
+def _check_measure(measure: Sequence[Fraction], n_states: int) -> None:
+    """One int or Fraction per state; floats and bools are refused as in as_rational."""
+    if len(measure) != n_states:
+        raise InvalidInput("measure dimension does not match the state set")
+    for entry in measure:
+        if type(entry) is not Fraction and type(entry) is not int:
+            raise InvalidInput(f"measure entry {entry!r} is not an int or a Fraction")
 
 
 def _check_labels(labels: tuple[str, ...], kind: str) -> None:
@@ -75,6 +85,13 @@ class Experiment:
                     f"row for state {label!r} sums to {total}, expected 1"
                 )
 
+    @cached_property
+    def _scaled_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Each column times ``scale``, the LCM of the denominators, as ints; and ``scale``."""
+        flat, scale = _clear_denominators([p for row in self.matrix for p in row])
+        n = self.n_signals
+        return tuple(tuple(flat[j::n]) for j in range(n)), scale
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -99,27 +116,17 @@ class Experiment:
         Returns the signal's mass, sum_t measure[t] matrix[t][j], and the
         posterior measure[t] matrix[t][j] / mass, which is None when the
         mass is zero.  The measure is typically a prior or a pushed-forward
-        belief.
+        belief.  The joint is formed in ints, over one denominator.
         """
-        if len(measure) != self.n_states:
-            raise InvalidInput("measure dimension does not match the state set")
-        joint = tuple(measure[t] * self.matrix[t][j] for t in range(self.n_states))
-        mass = sum(joint, Fraction(0))
-        if mass == 0:
-            return mass, None
-        return mass, tuple(entry / mass for entry in joint)
-
-    def signal_probability(self, prior: "Prior") -> tuple[Fraction, ...]:
-        """Marginal signal distribution under ``prior``."""
-        if len(prior.weights) != self.n_states:
-            raise InvalidInput("prior dimension does not match the state set")
-        return tuple(
-            sum(
-                (prior.weights[i] * self.matrix[i][j] for i in range(self.n_states)),
-                Fraction(0),
-            )
-            for j in range(self.n_signals)
-        )
+        _check_measure(measure, self.n_states)
+        weights, scale = _clear_denominators(measure)
+        columns, matrix_scale = self._scaled_columns
+        joint = list(map(mul, weights, columns[j]))
+        total = sum(joint)
+        if total == 0:
+            return Fraction(0), None
+        mass = Fraction(total, scale * matrix_scale)
+        return mass, tuple(Fraction(entry, total) for entry in joint)
 
 
 def validate_experiment(
@@ -408,8 +415,7 @@ class DecisionProblem:
         as integers over the one positive denominator that clears both the
         payoffs and the measure, which orders them exactly as Fractions.
         """
-        if len(measure) != self.n_states:
-            raise InvalidInput("measure dimension does not match the state set")
+        _check_measure(measure, self.n_states)
         weights, scale = _clear_denominators(measure)
         score, action = self._argmax(weights)
         return Fraction(score, self.payoff_scale * scale), action

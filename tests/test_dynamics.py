@@ -1,10 +1,16 @@
 """Hidden-Markov belief dynamics, merging, stopping, and the separator."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import expord
+from expord import documents as docs
+from expord import dynamics
 from expord import (
     InvalidInput,
     StoppingProblem,
@@ -23,15 +29,19 @@ from expord import (
     stopping_value,
     uniform_prior,
     update,
+    validate_experiment,
 )
+from expord.experiments import Experiment
 from expord.generators import (
     binary_symmetric,
     perfect_experiment,
     random_chain,
+    random_experiment,
     three_signal_family,
     uninformative_experiment,
 )
 from expord.value import random_decision_problem
+from reference_dynamics import reference_merging_horizon, reference_stopping_value
 
 F = Fraction
 
@@ -328,3 +338,135 @@ class TestCounterexample:
         found = counterexample(perfect_experiment(2), uninformative_experiment(2), mu)
         _, chain, _ = found
         assert all(row == mu.weights for row in chain.rows)
+
+
+class TestCountArguments:
+    """Horizons, n_max and max_iter are ints; a bool is not a count."""
+
+    @pytest.mark.parametrize("horizon", [2.5, True, F(3), "3"])
+    def test_stopping_horizon(self, horizon):
+        with pytest.raises(InvalidInput):
+            StoppingProblem(problem=MATCHING, chain=IID_UNIFORM, horizon=horizon)
+
+    @pytest.mark.parametrize("n_max", [2.5, True, F(3), "3"])
+    def test_merging_n_max(self, n_max):
+        chain = markov_chain([["7/10", "3/10"], ["3/10", "7/10"]])
+        with pytest.raises(InvalidInput):
+            merging_horizon(chain, binary_symmetric("3/5"), "1/10", n_max=n_max)
+
+    @pytest.mark.parametrize("max_iter", [2.5, True, F(3), "3"])
+    def test_eta_max_iter(self, max_iter):
+        with pytest.raises(InvalidInput):
+            eta_limit(IID_UNIFORM, binary_symmetric("3/5"), max_iter=max_iter)
+
+
+def _outcome(function, *args, **kwargs):
+    try:
+        return function(*args, **kwargs)
+    except InvalidInput as error:
+        return ("InvalidInput", str(error))
+
+
+class TestAgainstRecursiveReference:
+    """The level walk against the recursion and matrix products it replaced."""
+
+    def test_random_instances(self):
+        import random as _random
+
+        compared = 0
+        for seed in range(100):
+            rng = _random.Random(seed)
+            n_states, n_signals = rng.randint(2, 3), rng.randint(2, 3)
+            e = random_experiment(rng, n_states, n_signals, denominator_bound=6)
+            chain = random_chain(
+                rng, n_states, denominator_bound=6, strictly_positive=rng.random() < 0.7
+            )
+            dp = random_decision_problem(seed, 3, n_states, denominator_bound=6)
+            for horizon in range(1, 7):
+                sp = StoppingProblem(problem=dp, chain=chain, horizon=horizon)
+                got = stopping_value(sp, e)
+                assert got == reference_stopping_value(sp, e)
+                compared += 1
+            eps = F(rng.randint(0, 5), 10)
+            got = _outcome(merging_horizon, chain, e, eps, n_max=7)
+            assert got == _outcome(reference_merging_horizon, chain, e, eps, n_max=7)
+            compared += 1
+        assert compared == 700
+
+
+STICKY = markov_chain([["9/10", "1/10"], ["1/5", "4/5"]])
+
+
+class TestStepBudget:
+    def test_three_signals_under_an_iid_chain_reach_depth_twenty(self):
+        # At most three distinct beliefs per period, where the old
+        # n_signals ** depth guard counted 3 ** 20 nodes and refused.
+        e = three_signal_family("4/5")
+        deep = StoppingProblem(problem=MATCHING, chain=IID_UNIFORM, horizon=20)
+        with pytest.raises(InvalidInput):
+            reference_stopping_value(deep, e)
+        # Under the i.i.d. chain the continuation C_t is the same at every
+        # belief: s0 (mass 1/2) leaves the belief at 1/2, s1 and s2 move it to
+        # a belief worth 4/5.  So C_19 = 13/20 and C_t = C_{t+1} / 2 + 2/5,
+        # which gives 4/5 - C_0 = (3/20) / 2 ** 19.
+        assert stopping_value(deep, e) == F(4, 5) - F(3, 20) / 2 ** 19
+        with pytest.raises(InvalidInput):
+            reference_merging_horizon(IID_UNIFORM, e, "0", n_max=20)
+        report = merging_horizon(IID_UNIFORM, e, "0", n_max=20)
+        assert report.horizon is None and report.profile == (F(0),) * 20
+
+    def test_budget_refuses_before_the_level_that_breaks_it(self, monkeypatch):
+        # On the sticky chain each level triples: 1, 3, 9, 27 distinct beliefs.
+        # With a budget of 27 Bayes steps the level of 27 beliefs (81 steps)
+        # is refused before any of its steps is taken.
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 27)
+        calls = []
+        real_bayes = Experiment.bayes
+
+        def counting_bayes(self, measure, j):
+            calls.append(j)
+            return real_bayes(self, measure, j)
+
+        monkeypatch.setattr(Experiment, "bayes", counting_bayes)
+        sp = StoppingProblem(problem=MATCHING, chain=STICKY, horizon=10)
+        with pytest.raises(InvalidInput):
+            stopping_value(sp, three_signal_family("4/5"))
+        assert len(calls) == 3 + 9 + 27
+        calls.clear()
+        with pytest.raises(InvalidInput):
+            merging_horizon(STICKY, three_signal_family("4/5"), "0", n_max=10)
+        # Each node there is a pair of posteriors, one per starting state.
+        assert len(calls) <= 2 * (3 + 9 + 27)
+
+    def test_cli_refusal_survives_optimize_flag(self, tmp_path):
+        # 1025 signals with pairwise distinct likelihood ratios: the 1025
+        # posteriors after one period need 1025 ** 2 > 2 ** 20 Bayes steps.
+        n_signals = 1025
+        total = n_signals * (n_signals + 1) // 2
+        e = validate_experiment(
+            [
+                [F(k + 1, total) for k in range(n_signals)],
+                [F(1, n_signals)] * n_signals,
+            ],
+            states=("t0", "t1"),
+        )
+        paths = {}
+        for name, doc in (
+            ("problem", docs.decision_problem_to_doc(MATCHING)),
+            ("experiment", docs.experiment_to_doc(e)),
+            ("chain", docs.chain_to_doc(STICKY)),
+        ):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(docs.dump_document(doc))
+        src = os.path.dirname(os.path.dirname(expord.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "expord.cli", "stopping",
+             str(paths["problem"]), str(paths["experiment"]),
+             "--chain", str(paths["chain"]), "--horizon", "2"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "more than the 1048576" in done.stderr
+        assert "Traceback" not in done.stderr

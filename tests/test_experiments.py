@@ -253,6 +253,30 @@ class TestBestResponse:
             dp.best_response((F(1),))
 
 
+# Floats would bring binary rounding into exact results, and bools are not
+# rationals; as_rational refuses both, and so do the two kernels.
+NOT_RATIONAL = [(0.5, 0.5), (F(1, 2), 0.5), (True, False), (F(1), False), ("1/2", "1/2")]
+
+
+class TestKernelsRejectNonRationalMeasures:
+    @pytest.mark.parametrize("measure", NOT_RATIONAL)
+    def test_bayes(self, measure):
+        with pytest.raises(InvalidInput):
+            binary_symmetric("3/5").bayes(measure, 0)
+
+    @pytest.mark.parametrize("measure", NOT_RATIONAL)
+    def test_best_response(self, measure):
+        dp = decision_problem([["1", "0"], ["0", "1"]], ["1/2", "1/2"])
+        with pytest.raises(InvalidInput):
+            dp.best_response(measure)
+
+    def test_ints_and_fractions_are_accepted(self):
+        dp = decision_problem([["1", "0"], ["0", "1"]], ["1/2", "1/2"])
+        assert dp.best_response((0, 1)) == (F(1), 1)
+        assert dp.best_response((F(1, 3), 0)) == (F(1, 3), 0)
+        assert binary_symmetric("3/5").bayes((1, 0), 1) == (F(2, 5), (F(1), F(0)))
+
+
 class TestCheckBelief:
     def test_converts_to_fractions(self):
         assert check_belief(["1/4", 0, F(3, 4)], 3) == (F(1, 4), F(0), F(3, 4))
