@@ -17,7 +17,7 @@ from .beliefs import CouplingCertificate, PosteriorAtom
 from .dynamics import MarkovChain
 from .experiments import DecisionProblem, Experiment, Prior
 from .numerics import InvalidInput, parse_rational
-from .order import ConditionalExperiment, GarblingCertificate
+from .order import ConditionalExperiment, GarblingCertificate, verify_certificate
 
 
 def _fail(path: str, message: str) -> "InvalidInput":
@@ -167,6 +167,9 @@ def certificate_from_doc(doc: Any, path: str = "certificate") -> GarblingCertifi
     stated_gamma = _rational_list(_need(doc, "gamma", path), f"{path}.gamma")
     if stated_gamma != certificate.gamma:
         raise _fail(f"{path}.gamma", "stated weight differs from the psi column sums")
+    verdict = verify_certificate(certificate)
+    if not verdict:
+        raise _fail(f"{path}.psi", f"certificate does not verify: {verdict.violations[0]}")
     return certificate
 
 

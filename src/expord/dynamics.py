@@ -27,7 +27,9 @@ from itertools import combinations
 from typing import Callable, Sequence, Union
 
 from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
-from .experiments import DecisionProblem, Experiment, Prior, _default_labels, check_belief
+from .experiments import (
+    DecisionProblem, Experiment, Prior, _check_measure, _default_labels, check_belief
+)
 from .numerics import (
     EQ,
     GE,
@@ -102,7 +104,8 @@ class MarkovChain:
         return all(entry > 0 for row in self.rows for entry in row)
 
     def push_forward(self, belief: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """One transition step applied to a belief."""
+        """One transition step applied to a belief, given as ints or Fractions."""
+        _check_measure(belief, self.n_states)
         return tuple(
             sum((belief[t] * self.rows[t][u] for t in range(self.n_states)), Fraction(0))
             for u in range(self.n_states)
@@ -270,8 +273,8 @@ def update(
             raise InvalidInput(f"unknown signal {signal!r}") from None
     else:
         j = signal
-        if not 0 <= j < experiment.n_signals:
-            raise InvalidInput(f"signal index {j} out of range")
+        if not (_is_count(j) and 0 <= j < experiment.n_signals):
+            raise InvalidInput(f"signal index {j!r} is not an int in range")
     _, posterior = _successors(chain, experiment, point)[j]
     if posterior is None:
         raise InvalidInput(

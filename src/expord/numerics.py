@@ -6,11 +6,12 @@ solver is a two-phase primal simplex with Bland's anti-cycling rule, so it
 terminates on every input and never approximates.  Its tableau holds Python
 integers over one shared positive denominator and pivots fraction-free
 (Bareiss), which gives the same pivots as a Fraction tableau without a gcd
-per entry.  Outcomes carry machine-checkable evidence: an optimal point, a
-Farkas certificate of infeasibility, or an unbounded ray.  The certificates
-are verified in Fractions by substitution into the caller's program before
-they are returned, which keeps every caller honest; a failed check raises
-:class:`InternalError` and survives ``python -O``.
+per entry.  Outcomes carry machine-checkable evidence: an optimal point
+and its dual, a Farkas certificate of infeasibility, or an unbounded ray.
+Two exact checks over one integer form of the program, a primal one and a
+dual one, verify every outcome before it is returned, which keeps every
+caller honest; a failed check raises :class:`InternalError` and survives
+``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
 finite statistical experiments (tens of variables, tens of rows).  It makes
@@ -20,9 +21,11 @@ no attempt at sparsity or revised-simplex efficiency.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -124,6 +127,23 @@ class LinearProgram:
     def n_variables(self) -> int:
         return len(self.objective)
 
+    @cached_property
+    def _integer_rows(self) -> tuple[tuple[tuple[tuple[int, ...], str, int], ...], int]:
+        """Rows as ``(D * coefficients, relation, D * rhs)`` in ints, and ``D``.
+
+        ``D`` is the LCM of the row denominators.  Free variables are not split.
+        """
+        flat, scale = _clear_denominators(
+            [v for coeffs, _relation, rhs in self.rows for v in (*coeffs, rhs)]
+        )
+        n = self.n_variables
+        # A list, not a generator: a tuple built from a generator grows by
+        # resizing, which leaves blocks parked on CPython's tuple free lists.
+        return tuple([
+            (tuple(flat[k * (n + 1) : k * (n + 1) + n]), relation, flat[k * (n + 1) + n])
+            for k, (_coeffs, relation, _rhs) in enumerate(self.rows)
+        ]), scale
+
 
 def linear_program(
     objective: Sequence[RationalLike],
@@ -145,9 +165,10 @@ def linear_program(
 class LpOutcome:
     """Result of :func:`solve`, always in exact rationals.
 
-    Exactly one of the three statuses is set.  ``x`` and ``objective`` are
-    present when optimal, ``farkas`` when infeasible, and ``ray`` (plus the
-    feasible point ``x`` it emanates from) when unbounded.
+    Exactly one of the three statuses is set.  ``x``, ``objective`` and
+    ``dual`` are present when optimal, ``farkas`` when infeasible, and
+    ``ray`` (plus the feasible point ``x`` it emanates from) when unbounded.
+    Outcomes compare equal regardless of ``dual``.
     """
 
     status: str
@@ -155,112 +176,91 @@ class LpOutcome:
     objective: Fraction | None = None
     farkas: tuple[Fraction, ...] | None = None
     ray: tuple[Fraction, ...] | None = None
+    dual: tuple[Fraction, ...] | None = field(default=None, compare=False)
 
 
 def evaluate_row(coeffs: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
     return sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
 
 
-def solution_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    """Exact feasibility check of a candidate point."""
-    if len(x) != lp.n_variables:
+def _primal_holds(lp: LinearProgram, v: Sequence[Fraction], homogeneous: bool) -> bool:
+    """``v`` keeps every sign flag and every row of ``lp``, against 0 if ``homogeneous``."""
+    if len(v) != lp.n_variables:
         return False
-    for flag, value in zip(lp.nonneg, x):
-        if flag and value < 0:
-            return False
-    for coeffs, relation, rhs in lp.rows:
-        lhs = evaluate_row(coeffs, x)
-        if relation == LE and lhs > rhs:
-            return False
-        if relation == GE and lhs < rhs:
-            return False
-        if relation == EQ and lhs != rhs:
+    values, scale = _clear_denominators(v)
+    if any(flag and value < 0 for flag, value in zip(lp.nonneg, values)):
+        return False
+    rows, _ = lp._integer_rows
+    for coeffs, relation, rhs in rows:
+        lhs = sum(map(mul, coeffs, values))
+        bound = 0 if homogeneous else rhs * scale
+        if lhs > bound if relation == LE else lhs < bound if relation == GE else lhs != bound:
             return False
     return True
+
+
+def _dual_value(
+    lp: LinearProgram, y: Sequence[Fraction], cost: Sequence[Fraction]
+) -> Fraction | None:
+    """``y . b`` if ``y`` is feasible for the dual of min ``cost . x`` over ``lp``, else None.
+
+    That is y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows, and (y^T A)_j <=
+    cost_j on sign-constrained columns, == on free ones; then every
+    feasible x has cost . x >= (y^T A) x >= y . b.
+    """
+    rows, row_scale = lp._integer_rows
+    if len(y) != len(rows):
+        return None
+    multipliers, scale = _clear_denominators(y)
+    aggregate = [0] * lp.n_variables
+    for multiplier, (coeffs, relation, _rhs) in zip(multipliers, rows):
+        if relation == LE and multiplier > 0 or relation == GE and multiplier < 0:
+            return None
+        if multiplier:
+            aggregate = [a + multiplier * c for a, c in zip(aggregate, coeffs)]
+    # aggregate is (y^T A) * scale * row_scale; compare it over one denominator.
+    costs, cost_scale = _clear_denominators(cost)
+    factor = scale * row_scale
+    for flag, a, c in zip(lp.nonneg, aggregate, costs):
+        lhs, rhs = a * cost_scale, c * factor
+        if lhs > rhs if flag else lhs != rhs:
+            return None
+    return Fraction(sum(map(mul, multipliers, [rhs for _c, _r, rhs in rows])), factor)
+
+
+def solution_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
+    """Exact feasibility check of a candidate point."""
+    return _primal_holds(lp, x, homogeneous=False)
 
 
 def farkas_verifies(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
     """Check a Farkas certificate of infeasibility by substitution.
 
-    The certificate is one multiplier per row with y_i <= 0 on "<=" rows,
-    y_i >= 0 on ">=" rows, and free on "=" rows.  Infeasibility follows
-    from sum_i y_i a_ij <= 0 for every sign-constrained variable j (== 0
-    for free variables) together with y . b > 0: any feasible x would give
-    y . b <= sum_j (y^T A)_j x_j <= 0.
+    The certificate is a feasible dual at zero cost with y . b > 0, so any
+    feasible x would give 0 >= (y^T A) x >= y . b > 0.
     """
-    if len(y) != len(lp.rows):
-        return False
-    for multiplier, (_coeffs, relation, _rhs) in zip(y, lp.rows):
-        if relation == LE and multiplier > 0:
-            return False
-        if relation == GE and multiplier < 0:
-            return False
-    for j in range(lp.n_variables):
-        aggregate = sum(
-            (multiplier * row[0][j] for multiplier, row in zip(y, lp.rows)),
-            Fraction(0),
-        )
-        if lp.nonneg[j]:
-            if aggregate > 0:
-                return False
-        elif aggregate != 0:
-            return False
-    combination = sum(
-        (multiplier * row[2] for multiplier, row in zip(y, lp.rows)), Fraction(0)
-    )
-    return combination > 0
+    value = _dual_value(lp, y, [0] * lp.n_variables)
+    return value is not None and value > 0
 
 
-def dual_program(lp: LinearProgram) -> LinearProgram:
-    """The exact LP dual, with one free variable per primal row.
+def dual_verifies(lp: LinearProgram, y: Sequence[Fraction], value: Fraction) -> bool:
+    """Check an optimality certificate: a feasible dual whose value is ``value``.
 
-    Sign restrictions on the multipliers are expressed as explicit unit
-    rows, so an optimal dual point is literally the vector of multipliers
-    for the primal rows in order.  Strong duality makes the two optimal
-    objectives equal whenever both programs are feasible.
+    The dual is that of :func:`_dual_value` for a min program, with every
+    sign flipped for a max one.  By weak duality no feasible point beats
+    ``value``, so a feasible point that attains it is optimal.
     """
-    if not lp.rows:
-        raise InvalidInput("the dual needs at least one primal row")
-    minimizing = lp.sense == "min"
-    n_rows = len(lp.rows)
-    rows: list[tuple[tuple[Fraction, ...], str, Fraction]] = []
-    for j in range(lp.n_variables):
-        column = tuple(lp.rows[i][0][j] for i in range(n_rows))
-        if lp.nonneg[j]:
-            rows.append((column, LE if minimizing else GE, lp.objective[j]))
-        else:
-            rows.append((column, EQ, lp.objective[j]))
-    for i, (_coeffs, relation, _rhs) in enumerate(lp.rows):
-        unit = tuple(
-            Fraction(1) if k == i else Fraction(0) for k in range(n_rows)
-        )
-        if relation == LE:
-            rows.append((unit, LE if minimizing else GE, Fraction(0)))
-        elif relation == GE:
-            rows.append((unit, GE if minimizing else LE, Fraction(0)))
-    return LinearProgram(
-        objective=tuple(row[2] for row in lp.rows),
-        sense="max" if minimizing else "min",
-        rows=tuple(rows),
-        nonneg=tuple(False for _ in range(n_rows)),
-    )
+    if lp.sense == "min":
+        found = _dual_value(lp, y, lp.objective)
+        return found is not None and found == value
+    found = _dual_value(lp, [-v for v in y], [-c for c in lp.objective])
+    return found is not None and found == -value
 
 
 def ray_verifies(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
     """Check an unbounded ray: feasible direction with improving objective."""
-    if len(ray) != lp.n_variables or all(r == 0 for r in ray):
+    if not _primal_holds(lp, ray, homogeneous=True) or not any(ray):
         return False
-    for flag, value in zip(lp.nonneg, ray):
-        if flag and value < 0:
-            return False
-    for coeffs, relation, _rhs in lp.rows:
-        drift = evaluate_row(coeffs, ray)
-        if relation == LE and drift > 0:
-            return False
-        if relation == GE and drift < 0:
-            return False
-        if relation == EQ and drift != 0:
-            return False
     gain = evaluate_row(lp.objective, ray)
     return gain < 0 if lp.sense == "min" else gain > 0
 
@@ -276,10 +276,10 @@ class _Tableau:
     ``d``, so a pivot takes no gcd.  Pivoting is by Bland's rule.
     """
 
-    def __init__(self, rows: list[list[int]], basis: list[int]) -> None:
+    def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int) -> None:
         self.rows = rows              # each row: coefficients + [rhs]
         self.basis = basis            # basis[i] = column basic in row i
-        self.n_cols = len(rows[0]) - 1 if rows else 0
+        self.n_cols = n_cols          # a program without rows still has columns
         self.d = 1
         self.cost: list[int] = []
 
@@ -344,10 +344,6 @@ class _Tableau:
                 return UNBOUNDED, entering
             self.pivot(pivot_row, entering)
 
-    def basic_solution(self) -> dict[int, Fraction]:
-        d = self.d
-        return {col: Fraction(row[-1], d) for col, row in zip(self.basis, self.rows)}
-
 
 def _eliminate(row: list[int], pivot: list[int], col: int, p: int, d: int) -> list[int]:
     """One row of a fraction-free pivot; every division is exact."""
@@ -355,11 +351,6 @@ def _eliminate(row: list[int], pivot: list[int], col: int, p: int, d: int) -> li
     if f == 0:
         return row if p == d else [p * a // d for a in row]
     return [(p * a - f * b) // d for a, b in zip(row, pivot)]
-
-
-def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
-    """``scale * v`` for each ``v``, where ``scale`` clears every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -384,13 +375,13 @@ def solve(lp: LinearProgram) -> LpOutcome:
     columns, of variables rescaled by ``D``.  Row scaling and a positive
     cost scaling keep every sign and the order of every ratio, so the pivots
     are exactly those of the same simplex over Fractions.  Only a ray along
-    an entering slack picks up the factor ``D``.  Each certificate is then
-    re-checked against ``lp`` itself, and a failed check raises
-    :class:`InternalError`.
+    an entering slack picks up the factor ``D``.  An optimum's dual is read
+    off the final cost row like the Farkas certificate.  Every outcome is
+    checked against ``lp`` (an optimum's point and dual, a certificate, a
+    ray and its origin), and a failed check raises :class:`InternalError`.
     """
     n = lp.n_variables
     minimize = lp.sense == "min"
-    cost_orig = list(lp.objective) if minimize else [-c for c in lp.objective]
 
     # Structural columns: one per nonnegative variable, a +/- pair per free one.
     col_var: list[tuple[int, int]] = []
@@ -401,13 +392,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
     n_struct = len(col_var)
 
     m = len(lp.rows)
-    # Lists, not generators: unpacking a generator grows a tuple by resizing,
-    # which leaves blocks parked on CPython's tuple free lists.
-    scale = lcm(*[v.denominator for coeffs, _r, rhs in lp.rows for v in (*coeffs, rhs)])
-    flipped = [row[2] < 0 for row in lp.rows]
-    prepared: list[tuple[list[int], str, int]] = []
-    for flip, (coeffs, relation, rhs) in zip(flipped, lp.rows):
-        *coeffs, rhs = _scaled((*coeffs, rhs), scale)
+    integer_rows, scale = lp._integer_rows
+    flipped = [rhs < 0 for _coeffs, _relation, rhs in integer_rows]
+    prepared: list[tuple[Sequence[int], str, int]] = []
+    for flip, (coeffs, relation, rhs) in zip(flipped, integer_rows):
         if flip:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
@@ -421,7 +409,6 @@ def solve(lp: LinearProgram) -> LpOutcome:
     rows: list[list[int]] = []
     basis: list[int] = []
     init_col: list[int] = []      # identity column for each row, for duals
-    init_cost: list[int] = []     # phase-one cost of that column
     slack_at = n_struct
     art_at = n_struct + n_slack
     for coeffs, relation, rhs in prepared:
@@ -434,29 +421,28 @@ def solve(lp: LinearProgram) -> LpOutcome:
         if relation == LE:
             basis.append(slack_at - 1)
             init_col.append(slack_at - 1)
-            init_cost.append(0)
         else:
             row[art_at] = 1
             basis.append(art_at)
             init_col.append(art_at)
-            init_cost.append(1)
             art_at += 1
         rows.append(row)
 
     artificial_cols = frozenset(range(n_struct + n_slack, n_cols))
-    tableau = _Tableau(rows, basis)
+    tableau = _Tableau(rows, basis, n_cols)
 
-    def extract_point() -> tuple[Fraction, ...]:
-        values = tableau.basic_solution()
-        point = [Fraction(0)] * n
-        for col, value in values.items():
-            if col < n_struct:
-                var, sign = col_var[col]
-                point[var] += sign * value
-        return tuple(point)
+    def row_multipliers(costs: list[int], num: int, den: int, negate: bool) -> tuple:
+        # Row i's multiplier is the phase cost less the reduced cost at its
+        # identity column, times num / den; it changes sign if flip != negate.
+        d, reduced = tableau.d, tableau.cost
+        return tuple([
+            Fraction((costs[col] * d - reduced[col]) * (num if flip == negate else -num), d * den)
+            for col, flip in zip(init_col, flipped)
+        ])
 
     if m > 0:
-        tableau.set_cost([1 if j in artificial_cols else 0 for j in range(n_cols)])
+        phase_one = [1 if j in artificial_cols else 0 for j in range(n_cols)]
+        tableau.set_cost(phase_one)
         status, _ = tableau.minimize(banned=frozenset())
         if status != OPTIMAL:
             raise InternalError("phase one, bounded below by zero, came back unbounded")
@@ -464,12 +450,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols
         )
         if residue > 0:
-            d = tableau.d
-            y = []
-            for i in range(m):
-                multiplier = Fraction(init_cost[i] * d - tableau.cost[init_col[i]], d)
-                y.append(-multiplier if flipped[i] else multiplier)
-            y = tuple(y)
+            y = row_multipliers(phase_one, 1, 1, False)
             if not farkas_verifies(lp, y):
                 raise InternalError("simplex produced a bad Farkas certificate")
             return LpOutcome(status=INFEASIBLE, farkas=y)
@@ -490,10 +471,22 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 del tableau.rows[i]
                 del tableau.basis[i]
 
-    phase2_cost = [sign * cost_orig[var] for var, sign in col_var]
-    cost, _ = _clear_denominators(phase2_cost)
-    tableau.set_cost(cost + [0] * (n_slack + n_art))
+    # Phase two minimizes cost_scale * c, or -cost_scale * c for a max program.
+    objective, cost_scale = _clear_denominators(lp.objective)
+    phase_two = [sign * objective[var] for var, sign in col_var] + [0] * (n_slack + n_art)
+    if not minimize:
+        phase_two = [-c for c in phase_two]
+    tableau.set_cost(phase_two)
     status, entering = tableau.minimize(banned=artificial_cols)
+
+    point = [Fraction(0)] * n
+    for col, row in zip(tableau.basis, tableau.rows):
+        if col < n_struct:
+            var, sign = col_var[col]
+            point[var] += sign * Fraction(row[-1], tableau.d)
+    point = tuple(point)
+    if not solution_feasible(lp, point):
+        raise InternalError("simplex produced an infeasible basic point")
 
     if status == UNBOUNDED:
         # A unit step of the rescaled slack D*s is a step of 1/D in s itself.
@@ -509,10 +502,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
         ray = tuple(ray)
         if not ray_verifies(lp, ray):
             raise InternalError("simplex produced a bad unbounded ray")
-        return LpOutcome(status=UNBOUNDED, x=extract_point(), ray=ray)
+        return LpOutcome(status=UNBOUNDED, x=point, ray=ray)
 
-    point = extract_point()
-    if not solution_feasible(lp, point):
-        raise InternalError("simplex produced an infeasible optimum")
     value = evaluate_row(lp.objective, point)
-    return LpOutcome(status=OPTIMAL, x=point, objective=value)
+    dual = row_multipliers(phase_two, scale, cost_scale, not minimize)
+    if not dual_verifies(lp, dual, value):
+        raise InternalError("simplex produced a bad dual certificate")
+    return LpOutcome(status=OPTIMAL, x=point, objective=value, dual=dual)

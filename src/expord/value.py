@@ -104,14 +104,11 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
     """
     _check_compatible(problem, experiment)
     weights, prior_scale = _clear_denominators(problem.prior.weights)
-    flat, matrix_scale = _clear_denominators(
-        [p for row in experiment.matrix for p in row]
-    )
-    n_signals = experiment.n_signals
+    columns, matrix_scale = experiment._scaled_columns
     total = 0
     chosen: list[int] = []
-    for j in range(n_signals):
-        score, action = problem._argmax(list(map(mul, weights, flat[j::n_signals])))
+    for column in columns:
+        score, action = problem._argmax(list(map(mul, weights, column)))
         total += score
         chosen.append(action)
     policy = PolicyTable(

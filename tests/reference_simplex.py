@@ -1,10 +1,16 @@
-"""The Fraction-tableau simplex, kept as a test-only reference.
+"""The Fraction-tableau simplex and Fraction certificate checks, kept as test-only references.
 
 This is the solver ``expord.numerics.solve`` used before it moved to integer
 (fraction-free) pivots.  Both run the same two-phase Bland simplex, so on
 every input they must return identical outcomes: the same status, point,
 objective, Farkas multipliers and ray.  ``tests/test_numerics.py`` compares
 them.  Every tableau entry here is a ``fractions.Fraction``.
+
+The certificate checks are the Fraction bodies ``solution_feasible``,
+``farkas_verifies`` and ``ray_verifies`` had before they read the integer
+form of a program, and ``dual_program`` is the explicit LP dual, whose
+feasible points with the primal optimum as value are exactly the duals
+``dual_verifies`` accepts.
 """
 
 from __future__ import annotations
@@ -18,10 +24,114 @@ from expord.numerics import (
     LE,
     OPTIMAL,
     UNBOUNDED,
+    InvalidInput,
     LinearProgram,
     LpOutcome,
     evaluate_row,
 )
+
+
+def solution_feasible(lp: LinearProgram, x) -> bool:
+    """Exact feasibility check of a candidate point."""
+    if len(x) != lp.n_variables:
+        return False
+    for flag, value in zip(lp.nonneg, x):
+        if flag and value < 0:
+            return False
+    for coeffs, relation, rhs in lp.rows:
+        lhs = evaluate_row(coeffs, x)
+        if relation == LE and lhs > rhs:
+            return False
+        if relation == GE and lhs < rhs:
+            return False
+        if relation == EQ and lhs != rhs:
+            return False
+    return True
+
+
+def farkas_verifies(lp: LinearProgram, y) -> bool:
+    """Check a Farkas certificate of infeasibility by substitution."""
+    if len(y) != len(lp.rows):
+        return False
+    for multiplier, (_coeffs, relation, _rhs) in zip(y, lp.rows):
+        if relation == LE and multiplier > 0:
+            return False
+        if relation == GE and multiplier < 0:
+            return False
+    for j in range(lp.n_variables):
+        aggregate = sum(
+            (multiplier * row[0][j] for multiplier, row in zip(y, lp.rows)),
+            Fraction(0),
+        )
+        if lp.nonneg[j]:
+            if aggregate > 0:
+                return False
+        elif aggregate != 0:
+            return False
+    combination = sum(
+        (multiplier * row[2] for multiplier, row in zip(y, lp.rows)), Fraction(0)
+    )
+    return combination > 0
+
+
+def ray_verifies(lp: LinearProgram, ray) -> bool:
+    """Check an unbounded ray: feasible direction with improving objective."""
+    if len(ray) != lp.n_variables or all(r == 0 for r in ray):
+        return False
+    for flag, value in zip(lp.nonneg, ray):
+        if flag and value < 0:
+            return False
+    for coeffs, relation, _rhs in lp.rows:
+        drift = evaluate_row(coeffs, ray)
+        if relation == LE and drift > 0:
+            return False
+        if relation == GE and drift < 0:
+            return False
+        if relation == EQ and drift != 0:
+            return False
+    gain = evaluate_row(lp.objective, ray)
+    return gain < 0 if lp.sense == "min" else gain > 0
+
+
+def dual_program(lp: LinearProgram) -> LinearProgram:
+    """The exact LP dual, with one free variable per primal row.
+
+    Sign restrictions on the multipliers are expressed as explicit unit
+    rows, so an optimal dual point is literally the vector of multipliers
+    for the primal rows in order.  Strong duality makes the two optimal
+    objectives equal whenever both programs are feasible.
+    """
+    if not lp.rows:
+        raise InvalidInput("the dual needs at least one primal row")
+    minimizing = lp.sense == "min"
+    n_rows = len(lp.rows)
+    rows = []
+    for j in range(lp.n_variables):
+        column = tuple(lp.rows[i][0][j] for i in range(n_rows))
+        if lp.nonneg[j]:
+            rows.append((column, LE if minimizing else GE, lp.objective[j]))
+        else:
+            rows.append((column, EQ, lp.objective[j]))
+    for i, (_coeffs, relation, _rhs) in enumerate(lp.rows):
+        unit = tuple(
+            Fraction(1) if k == i else Fraction(0) for k in range(n_rows)
+        )
+        if relation == LE:
+            rows.append((unit, LE if minimizing else GE, Fraction(0)))
+        elif relation == GE:
+            rows.append((unit, GE if minimizing else LE, Fraction(0)))
+    return LinearProgram(
+        objective=tuple(row[2] for row in lp.rows),
+        sense="max" if minimizing else "min",
+        rows=tuple(rows),
+        nonneg=tuple(False for _ in range(n_rows)),
+    )
+
+
+def dual_verifies(lp: LinearProgram, y, value) -> bool:
+    """``y`` is a point of ``dual_program(lp)`` whose dual objective is ``value``."""
+    dual = dual_program(lp)
+    return solution_feasible(dual, y) and evaluate_row(dual.objective, y) == value
 
 
 class _Tableau:

@@ -27,7 +27,6 @@ from expord import (
     compose,
     counterexample,
     decision_problem,
-    dual_program,
     eta_limit,
     eta_step,
     falsify_bound,
@@ -63,6 +62,7 @@ from expord.generators import (
     three_signal_family,
     uninformative_experiment,
 )
+from reference_simplex import dual_program
 
 F = Fraction
 

@@ -104,6 +104,23 @@ class TestUpdate:
         with pytest.raises(InvalidInput):
             update(IDENTITY_2, perfect_experiment(2), (F(1), F(0)), 1)
 
+    @pytest.mark.parametrize("signal", [True, 1.0, F(1)])
+    def test_signal_index_must_be_an_int(self, signal):
+        with pytest.raises(InvalidInput):
+            update(IDENTITY_2, binary_symmetric("3/5"), (F(1, 3), F(2, 3)), signal)
+
+
+class TestPushForward:
+    CHAIN = markov_chain([["7/10", "3/10"], ["3/10", "7/10"]])
+
+    def test_one_exact_step(self):
+        assert self.CHAIN.push_forward((1, F(0))) == (F(7, 10), F(3, 10))
+
+    @pytest.mark.parametrize("belief", [(0.5, 0.5), (1, 0, 5), (True, False)])
+    def test_floats_bools_and_wrong_lengths_rejected(self, belief):
+        with pytest.raises(InvalidInput):
+            self.CHAIN.push_forward(belief)
+
 
 class TestEtaStep:
     def test_iid_image_is_the_posterior_hull(self):

@@ -122,6 +122,13 @@ class TestDocumentValidation:
         with pytest.raises(InvalidInput):
             docs.certificate_from_doc(doc)
 
+    def test_psi_must_verify(self):
+        # Swapping two entries of one psi column keeps gamma and beta but
+        # no longer reproduces pi.
+        doc = _swap_psi_entries(self._cert_doc())
+        with pytest.raises(InvalidInput, match=r"psi: certificate does not verify: reproduction"):
+            docs.certificate_from_doc(doc)
+
     def test_row_sum_error_carries_a_path(self):
         doc = docs.experiment_to_doc(binary_symmetric("3/5"))
         doc["matrix"][0] = ["1/2", "2/3"]
@@ -135,6 +142,14 @@ class TestDocumentValidation:
     def test_digest_is_stable(self):
         doc = docs.experiment_to_doc(binary_symmetric("3/5"))
         assert docs.document_digest(doc) == docs.document_digest(json.loads(json.dumps(doc)))
+
+
+def _swap_psi_entries(doc):
+    """The certificate document with two differing entries of one psi column swapped."""
+    psi = doc["psi"]
+    j = next(j for j in range(len(psi[0])) if psi[0][j] != psi[1][j])
+    psi[0][j], psi[1][j] = psi[1][j], psi[0][j]
+    return doc
 
 
 # ---------------------------------------------------------------------- cli
@@ -232,6 +247,27 @@ class TestOrderCommands:
         composed = docs.certificate_from_doc(doc)
         assert verify_certificate(composed)
         assert composed.pi == binary_symmetric("3/5")
+
+    def test_compose_rejects_a_psi_that_does_not_verify(self, files, capsys, tmp_path):
+        _, inner = invoke(capsys, "check", "blackwell", files["pi_low"], files["pi"])
+        _, outer = invoke(capsys, "check", "weighted", files["pi"], files["family_hi"])
+        inner_path = tmp_path / "inner.json"
+        outer_path = tmp_path / "outer.json"
+        inner_path.write_text(docs.dump_document(inner))
+        outer_path.write_text(docs.dump_document(_swap_psi_entries(outer)))
+        code = run(["compose", str(inner_path), str(outer_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {outer_path}.psi: certificate does not verify")
+
+    def test_conditional_to_rejects_a_psi_that_does_not_verify(self, files, capsys, tmp_path):
+        _, cert_doc = invoke(capsys, "check", "weighted", files["pi"], files["family_hi"])
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(docs.dump_document(_swap_psi_entries(cert_doc)))
+        code = run(["conditional", "to", str(cert_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {cert_path}.psi: certificate does not verify")
 
     def test_conditional_round_trip(self, files, capsys, tmp_path):
         code, cert_doc = invoke(

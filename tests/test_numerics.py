@@ -27,7 +27,6 @@ from expord import (
     InternalError,
     InvalidInput,
     as_rational,
-    dual_program,
     farkas_verifies,
     linear_program,
     parse_rational,
@@ -38,7 +37,8 @@ from expord import (
 import expord
 from expord import numerics
 from expord.generators import corpus_pairs, random_lp
-from reference_simplex import reference_solve
+import reference_simplex
+from reference_simplex import dual_program, reference_solve
 
 F = Fraction
 
@@ -169,6 +169,15 @@ class TestSolveExamples:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             linear_program(objective=[1, 2], sense="min", rows=[([1], LE, 1)])
+
+    def test_program_without_rows(self):
+        # With no rows the tableau still has one column per variable.
+        out = solve(linear_program(objective=[-1], rows=[]))
+        assert out.status == UNBOUNDED
+        assert out.x == (F(0),) and out.ray == (F(1),)
+        out = solve(linear_program(objective=[1, 0], rows=[], sense="min"))
+        assert out.status == OPTIMAL
+        assert out.objective == 0 and out.dual == ()
 
 
 class TestDuality:
@@ -305,6 +314,105 @@ class TestAgainstFractionTableau:
         assert out == reference_solve(lp)
         assert out.status == OPTIMAL
         assert out.x == (0, 0, 3) and out.objective == F(-3, 2)
+
+
+# ------------------------------------------- the integer checks vs Fraction checks
+
+
+def _perturbed(vector, rng):
+    """``vector`` with one coordinate moved by a small nonzero rational."""
+    moved = list(vector)
+    moved[rng.randrange(len(moved))] += rng.choice([F(1), F(-1), F(1, 3), F(-1, 2)])
+    return tuple(moved)
+
+
+@pytest.fixture(scope="module")
+def random_outcomes():
+    rng = random.Random(7)
+    lps = [random_lp(rng, 6, 6) for _ in range(500)]
+    return [(lp, solve(lp)) for lp in lps]
+
+
+class TestCertificateChecks:
+    """The checks over the integer form give the Fraction checks' verdicts."""
+
+    def test_verdicts_match_the_fraction_checks(self, random_outcomes):
+        rng = random.Random(11)
+        verdicts = {}
+        mismatched = []
+        for k, (lp, out) in enumerate(random_outcomes):
+            evidence = [v for v in (out.x, out.ray, out.farkas, out.dual) if v]
+            for vector in evidence + [_perturbed(v, rng) for v in evidence]:
+                calls = []
+                if len(vector) == lp.n_variables:
+                    calls += [("solution_feasible", (lp, vector)), ("ray_verifies", (lp, vector))]
+                if len(vector) == len(lp.rows):
+                    calls.append(("farkas_verifies", (lp, vector)))
+                    values = [numerics.evaluate_row([b for _c, _r, b in lp.rows], vector)]
+                    if out.status == OPTIMAL:
+                        values.append(out.objective)
+                    calls += [("dual_verifies", (lp, vector, value)) for value in values]
+                for name, args in calls:
+                    verdict = getattr(numerics, name)(*args)
+                    verdicts.setdefault(name, set()).add(verdict)
+                    if verdict != getattr(reference_simplex, name)(*args):
+                        mismatched.append((k, name, args[1:]))
+        assert not mismatched, mismatched[:5]
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+        assert len(verdicts) == 4
+
+    def test_every_optimum_carries_an_optimal_dual(self, random_outcomes):
+        optima = 0
+        for lp, out in random_outcomes:
+            if out.status != OPTIMAL:
+                assert out.dual is None
+                continue
+            optima += 1
+            dual_lp = dual_program(lp)
+            assert reference_simplex.solution_feasible(dual_lp, out.dual)
+            assert numerics.evaluate_row(dual_lp.objective, out.dual) == out.objective
+            assert solve(dual_lp).objective == out.objective
+        assert optima > 50
+
+
+_BOUNDED = linear_program(objective=[2, 3], sense="min", rows=[([1, 1], GE, 4), ([1, 2], GE, 6)])
+_UNBOUNDED = linear_program(objective=[1], sense="max", rows=[([1], GE, 0)])
+
+
+class TestEveryOutcomeIsChecked:
+    def test_a_perturbed_dual_is_an_internal_error(self, monkeypatch):
+        real = numerics.dual_verifies
+        monkeypatch.setattr(
+            numerics, "dual_verifies", lambda lp, y, value: real(lp, (y[0] + 1, *y[1:]), value)
+        )
+        with pytest.raises(InternalError, match="bad dual certificate"):
+            solve(_BOUNDED)
+
+    def test_an_infeasible_ray_origin_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(numerics, "solution_feasible", lambda lp, x: False)
+        with pytest.raises(InternalError, match="infeasible basic point"):
+            solve(_UNBOUNDED)
+
+    def test_the_dual_check_survives_optimize_flag(self):
+        script = (
+            "import expord.numerics as numerics\n"
+            "real = numerics.dual_verifies\n"
+            "numerics.dual_verifies = lambda lp, y, v: real(lp, (y[0] + 1, *y[1:]), v)\n"
+            "lp = numerics.linear_program([2, 3], [([1, 1], '>=', 4), ([1, 2], '>=', 6)])\n"
+            "try:\n"
+            "    numerics.solve(lp)\n"
+            "except numerics.InternalError as error:\n"
+            "    print('InternalError:', error)\n"
+            "print('debug:', __debug__)\n"
+        )
+        src = os.path.dirname(os.path.dirname(expord.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "debug: False" in done.stdout
+        assert "InternalError: simplex produced a bad dual certificate" in done.stdout
 
 
 def test_self_checks_survive_optimize_flag():
