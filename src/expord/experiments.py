@@ -86,7 +86,7 @@ class Experiment:
                 )
 
     @cached_property
-    def _scaled_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+    def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """Each column times ``scale``, the LCM of the denominators, as ints; and ``scale``."""
         flat, scale = _clear_denominators([p for row in self.matrix for p in row])
         n = self.n_signals
@@ -120,7 +120,7 @@ class Experiment:
         """
         _check_measure(measure, self.n_states)
         weights, scale = _clear_denominators(measure)
-        columns, matrix_scale = self._scaled_columns
+        columns, matrix_scale = self._integer_columns
         joint = list(map(mul, weights, columns[j]))
         total = sum(joint)
         if total == 0:

@@ -104,7 +104,7 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
     """
     _check_compatible(problem, experiment)
     weights, prior_scale = _clear_denominators(problem.prior.weights)
-    columns, matrix_scale = experiment._scaled_columns
+    columns, matrix_scale = experiment._integer_columns
     total = 0
     chosen: list[int] = []
     for column in columns:
