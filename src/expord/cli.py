@@ -149,6 +149,10 @@ def _cmd_size_interval(args) -> int:
                 if interval.witness_max is None
                 else docs.certificate_to_doc(interval.witness_max)
             ),
+            dual_min=[str(v) for v in interval.dual_min],
+            dual_max=(
+                None if interval.dual_max is None else [str(v) for v in interval.dual_max]
+            ),
         )
     )
     return 0

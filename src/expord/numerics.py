@@ -4,14 +4,17 @@ Inputs and outputs are ``fractions.Fraction``s: programs are stated and
 solutions, certificates and rays are returned in exact rationals.  The
 solver is a two-phase primal simplex with Bland's anti-cycling rule, so it
 terminates on every input and never approximates.  Its tableau holds Python
-integers over one shared positive denominator and pivots fraction-free
-(Bareiss), which gives the same pivots as a Fraction tableau without a gcd
-per entry.  Outcomes carry machine-checkable evidence: an optimal point
-and its dual, a Farkas certificate of infeasibility, or an unbounded ray.
-Two exact checks over one integer form of the program, a primal one and a
-dual one, verify every outcome before it is returned, which keeps every
-caller honest; a failed check raises :class:`InternalError` and survives
-``python -O``.
+integers and pivots fraction-free (Bareiss).  Each row stands over the
+positive denominator it was last brought up to, and a pivot rewrites only
+the rows with a nonzero entry in its column, each by exact integer
+quotients; rows are brought up to the shared denominator before a phase
+starts and before a point or ray is read.  This gives the same pivots as a
+Fraction tableau, without a gcd per entry.  Outcomes carry machine-checkable
+evidence: an optimal point and its dual, a Farkas certificate of
+infeasibility, or an unbounded ray.  Two exact checks over one integer form
+of the program, a primal one and a dual one, verify every outcome before it
+is returned, which keeps every caller honest; a failed check raises
+:class:`InternalError` and survives ``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
 finite statistical experiments (tens of variables, tens of rows).  It makes
@@ -266,25 +269,47 @@ def ray_verifies(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
 
 
 class _Tableau:
-    """Dense simplex tableau over integers with one shared denominator.
+    """Dense simplex tableau over integers, each row over a denominator of its own.
 
-    Entry ``rows[i][j]`` stands for the rational ``rows[i][j] / d``, and so
-    does ``cost[j]``, the reduced-cost row of the current phase, which every
-    pivot updates along with the constraint rows.  ``d`` stays positive.  A
-    pivot is a fraction-free (Bareiss) step: each new entry is an exact
-    integer quotient by the old ``d``, and the pivot entry becomes the new
-    ``d``, so a pivot takes no gcd.  Pivoting is by Bland's rule.
+    Entry ``rows[i][j]`` stands for the rational ``rows[i][j] / at[i]``, where
+    ``at[i]`` is the shared denominator ``d`` as it stood when row ``i`` was
+    last rewritten; ``cost[j]``, the reduced-cost row of the current phase,
+    stands for ``cost[j] / d`` and is rewritten by every pivot.  ``d`` stays
+    positive.  A pivot is a fraction-free (Bareiss) step that rewrites only
+    the rows with a nonzero entry in the pivot column: each new entry is an
+    exact integer quotient by the row's old denominator, and the pivot entry
+    becomes the new ``d``, so a pivot takes no gcd.  Every row brought up to
+    ``d`` holds the integers the same step would give if it rewrote every
+    row.  A positive row scale changes no sign and no ratio, so the pivots,
+    by Bland's rule, are those of a tableau over Fractions.
     """
 
     def __init__(self, rows: list[list[int]], basis: list[int], n_cols: int) -> None:
         self.rows = rows              # each row: coefficients + [rhs]
+        self.at = [1] * len(rows)     # at[i] = the denominator of rows[i]
         self.basis = basis            # basis[i] = column basic in row i
         self.n_cols = n_cols          # a program without rows still has columns
         self.d = 1
         self.cost: list[int] = []
 
+    def bring_up(self, i: int) -> list[int]:
+        """Row ``i`` rescaled over ``d``; every quotient is exact."""
+        row, at, d = self.rows[i], self.at[i], self.d
+        if at != d:
+            self.rows[i] = row = [a * d // at for a in row]
+            self.at[i] = d
+        return row
+
+    def bring_all_up(self) -> None:
+        for i in range(len(self.rows)):
+            self.bring_up(i)
+
+    def drop_row(self, i: int) -> None:
+        del self.rows[i], self.at[i], self.basis[i]
+
     def set_cost(self, cost: list[int]) -> None:
         """Start a phase: price out the basic columns of integer costs ``cost``."""
+        self.bring_all_up()
         d = self.d
         reduced = [d * c for c in cost] + [0]
         for row, col in zip(self.rows, self.basis):
@@ -294,17 +319,21 @@ class _Tableau:
         self.cost = reduced
 
     def pivot(self, pivot_row: int, pivot_col: int) -> None:
-        rows = self.rows
-        row = rows[pivot_row]
+        rows, at, d = self.rows, self.at, self.d
+        row = self.bring_up(pivot_row)
         p = row[pivot_col]
         if p < 0:
             rows[pivot_row] = row = [-b for b in row]
             p = -p
-        d = self.d
         for i, other in enumerate(rows):
-            if i != pivot_row:
-                rows[i] = _eliminate(other, row, pivot_col, p, d)
-        self.cost = _eliminate(self.cost, row, pivot_col, p, d)
+            f = other[pivot_col]
+            if f and i != pivot_row:
+                e = at[i]
+                rows[i] = [(p * a - f * b) // e for a, b in zip(other, row)]
+                at[i] = p
+        f = self.cost[pivot_col]
+        self.cost = [(p * a - f * b) // d for a, b in zip(self.cost, row)]
+        at[pivot_row] = p
         self.d = p
         self.basis[pivot_row] = pivot_col
 
@@ -343,14 +372,6 @@ class _Tableau:
             if pivot_row is None:
                 return UNBOUNDED, entering
             self.pivot(pivot_row, entering)
-
-
-def _eliminate(row: list[int], pivot: list[int], col: int, p: int, d: int) -> list[int]:
-    """One row of a fraction-free pivot; every division is exact."""
-    f = row[col]
-    if f == 0:
-        return row if p == d else [p * a // d for a in row]
-    return [(p * a - f * b) // d for a, b in zip(row, pivot)]
 
 
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -446,10 +467,9 @@ def solve(lp: LinearProgram) -> LpOutcome:
         status, _ = tableau.minimize(banned=frozenset())
         if status != OPTIMAL:
             raise InternalError("phase one, bounded below by zero, came back unbounded")
-        residue = sum(
-            tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols
-        )
-        if residue > 0:
+        # Basic values are nonnegative, so the artificial mass is positive
+        # exactly when one of them is nonzero, whatever the row scales.
+        if any(tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols):
             y = row_multipliers(phase_one, 1, 1, False)
             if not farkas_verifies(lp, y):
                 raise InternalError("simplex produced a bad Farkas certificate")
@@ -468,8 +488,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             if pivot_col is not None:
                 tableau.pivot(i, pivot_col)
             else:
-                del tableau.rows[i]
-                del tableau.basis[i]
+                tableau.drop_row(i)
 
     # Phase two minimizes cost_scale * c, or -cost_scale * c for a max program.
     objective, cost_scale = _clear_denominators(lp.objective)
@@ -478,6 +497,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         phase_two = [-c for c in phase_two]
     tableau.set_cost(phase_two)
     status, entering = tableau.minimize(banned=artificial_cols)
+    tableau.bring_all_up()
 
     point = [Fraction(0)] * n
     for col, row in zip(tableau.basis, tableau.rows):

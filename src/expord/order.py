@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .experiments import Experiment, Weight, apply_weight, make_weight, weight_check
@@ -35,6 +36,7 @@ from .numerics import (
     LinearProgram,
     LpOutcome,
     RationalLike,
+    _clear_denominators,
     as_rational,
     linear_program,
     solve,
@@ -117,32 +119,40 @@ class GarblingCertificate:
 
 
 def verify_certificate(certificate: GarblingCertificate) -> VerificationResult:
-    """Re-derive every certificate condition by exact substitution."""
-    pi, pi_prime, psi = certificate.pi, certificate.pi_prime, certificate.psi
+    """Re-derive every certificate condition by exact substitution.
+
+    psi is cleared to integers over the LCM of its denominators once, and
+    each condition is compared over integers against both experiments'
+    cached integer columns; a Fraction is built only to word a violation.
+    """
+    pi, pi_prime = certificate.pi, certificate.pi_prime
+    n_sp = pi_prime.n_signals
+    flat, scale = _clear_denominators([v for row in certificate.psi for v in row])
+    psi = [flat[i * n_sp : (i + 1) * n_sp] for i in range(pi.n_signals)]
+    columns, pi_scale = pi._integer_columns
+    prime_columns, prime_scale = pi_prime._integer_columns
+    prime_rows = list(zip(*prime_columns))
+    # A sum of psi times pi_prime's rows is over scale * prime_scale; pi's
+    # entries are over pi_scale, so compare the two cross-multiplied.
+    over = scale * prime_scale
     violations: list[str] = []
     for i, signal in enumerate(pi.signals):
         for t, state in enumerate(pi.states):
-            reproduced = sum(
-                (psi[i][j] * pi_prime.matrix[t][j] for j in range(pi_prime.n_signals)),
-                Fraction(0),
-            )
-            if reproduced != pi.matrix[t][i]:
+            reproduced = sum(map(mul, psi[i], prime_rows[t]))
+            if reproduced * pi_scale != columns[i][t] * over:
                 violations.append(
                     f"reproduction fails at signal {signal!r}, state {state!r}: "
-                    f"{reproduced} != {pi.matrix[t][i]}"
+                    f"{Fraction(reproduced, over)} != {pi.matrix[t][i]}"
                 )
-    gamma = certificate.gamma
+    gamma = [sum(column) for column in zip(*psi)]
     for t, state in enumerate(pi.states):
-        mass = sum(
-            (gamma[j] * pi_prime.matrix[t][j] for j in range(pi_prime.n_signals)),
-            Fraction(0),
-        )
-        if mass != 1:
+        mass = sum(map(mul, gamma, prime_rows[t]))
+        if mass != over:
             violations.append(
-                f"weight identity fails at state {state!r}: mass {mass} != 1"
+                f"weight identity fails at state {state!r}: mass {Fraction(mass, over)} != 1"
             )
-    if certificate.beta < 1:
-        violations.append(f"size {certificate.beta} below 1")
+    if max(gamma) < scale:
+        violations.append(f"size {Fraction(max(gamma), scale)} below 1")
     return VerificationResult(ok=not violations, violations=tuple(violations))
 
 
@@ -282,6 +292,14 @@ def min_size(
     a witness attaining it, or None when no certificate exists.  The
     minimum equals 1 exactly when the pair is Blackwell ordered.
     """
+    found = _min_size(pi, pi_prime)
+    return None if found is None else (found[0].objective, found[1])
+
+
+def _min_size(
+    pi: Experiment, pi_prime: Experiment
+) -> tuple[LpOutcome, GarblingCertificate] | None:
+    """:func:`min_size`'s optimal outcome, dual included, and its witness."""
     objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
     columns = ((Fraction(-1),), LE, Fraction(0))
     outcome = solve(_psi_program(pi, pi_prime, columns, objective))
@@ -290,7 +308,7 @@ def min_size(
     certificate = _certify(pi, pi_prime, outcome)
     if certificate.beta != outcome.objective:
         raise InternalError("minimal size differs from the witness's size")
-    return outcome.objective, certificate
+    return outcome, certificate
 
 
 @dataclass(frozen=True)
@@ -301,12 +319,22 @@ class SizeInterval:
     None when sizes are unbounded above (pi_prime has a null signal to
     park arbitrary mass on).  Witnesses attain each finite endpoint, and
     mixing them traces out every intermediate size.
+
+    ``dual_min`` is the verified dual of :func:`min_size`'s program, one
+    multiplier per row of ``_psi_program``: the reproduction rows
+    signal-major, then one column-sum row per signal of ``pi_prime``.
+    ``dual_max`` is the verified dual of the winning column maximization,
+    one multiplier per reproduction row; the winning column is the first
+    signal of ``pi_prime`` whose weight in ``witness_max`` is ``beta_max``.
+    It is None when ``beta_max`` is.
     """
 
     beta_min: Fraction
     beta_max: Fraction | None
     witness_min: GarblingCertificate
     witness_max: GarblingCertificate | None
+    dual_min: tuple[Fraction, ...]
+    dual_max: tuple[Fraction, ...] | None
 
     @property
     def unbounded(self) -> bool:
@@ -321,10 +349,11 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     is the largest of these because a maximizing psi for one column keeps
     every other column at or below its own maximum.
     """
-    base = min_size(pi, pi_prime)
+    base = _min_size(pi, pi_prime)
     if base is None:
         return None
-    beta_min, witness_min = base
+    lowest, witness_min = base
+    beta_min = lowest.objective
     n_vars = pi.n_signals * pi_prime.n_signals
     best: LpOutcome | None = None
     for j in range(pi_prime.n_signals):
@@ -338,6 +367,8 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
                 beta_max=None,
                 witness_min=witness_min,
                 witness_max=None,
+                dual_min=lowest.dual,
+                dual_max=None,
             )
         if best is None or outcome.objective > best.objective:
             best = outcome
@@ -349,6 +380,8 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
         beta_max=best.objective,
         witness_min=witness_min,
         witness_max=witness_max,
+        dual_min=lowest.dual,
+        dual_max=best.dual,
     )
 
 

@@ -1,0 +1,74 @@
+"""The Fraction certificate check, kept as a test-only reference.
+
+This is the body ``expord.order.verify_certificate`` had before it compared
+over integers.  Both re-derive the same conditions in the same order, so on
+every certificate they must return identical results: the same ``ok`` and
+the same violation messages.  ``tests/test_order.py`` compares them.
+
+``size_interval_programs`` spells out, independently of ``expord.order``,
+the two programs whose duals a ``SizeInterval`` carries.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from expord.numerics import EQ, LE, linear_program
+from expord.order import GarblingCertificate, VerificationResult
+
+
+def verify_certificate(certificate: GarblingCertificate) -> VerificationResult:
+    """Re-derive every certificate condition by exact substitution."""
+    pi, pi_prime, psi = certificate.pi, certificate.pi_prime, certificate.psi
+    violations: list[str] = []
+    for i, signal in enumerate(pi.signals):
+        for t, state in enumerate(pi.states):
+            reproduced = sum(
+                (psi[i][j] * pi_prime.matrix[t][j] for j in range(pi_prime.n_signals)),
+                Fraction(0),
+            )
+            if reproduced != pi.matrix[t][i]:
+                violations.append(
+                    f"reproduction fails at signal {signal!r}, state {state!r}: "
+                    f"{reproduced} != {pi.matrix[t][i]}"
+                )
+    gamma = certificate.gamma
+    for t, state in enumerate(pi.states):
+        mass = sum(
+            (gamma[j] * pi_prime.matrix[t][j] for j in range(pi_prime.n_signals)),
+            Fraction(0),
+        )
+        if mass != 1:
+            violations.append(
+                f"weight identity fails at state {state!r}: mass {mass} != 1"
+            )
+    if certificate.beta < 1:
+        violations.append(f"size {certificate.beta} below 1")
+    return VerificationResult(ok=not violations, violations=tuple(violations))
+
+
+def size_interval_programs(pi, pi_prime, column):
+    """min_size's program and column ``column``'s maximization, rows as documented.
+
+    Reproduction rows sum_s' psi(s,s') P'(s'|t) = P(s|t), signal-major, in
+    both; min_size's program then bounds every column sum by its last
+    variable u, which it minimizes.
+    """
+    n_s, n_sp = pi.n_signals, pi_prime.n_signals
+    n_vars = n_s * n_sp
+    reproduction = []
+    for s in range(n_s):
+        for t in range(pi.n_states):
+            coeffs = [0] * (n_vars + 1)
+            coeffs[s * n_sp : (s + 1) * n_sp] = pi_prime.matrix[t]
+            reproduction.append((coeffs, EQ, pi.matrix[t][s]))
+    column_rows = [
+        ([int(k % n_sp == j) for k in range(n_vars)] + [-1], LE, 0) for j in range(n_sp)
+    ]
+    lowest = linear_program([0] * n_vars + [1], reproduction + column_rows)
+    highest = linear_program(
+        [int(k % n_sp == column) for k in range(n_vars)],
+        [(coeffs[:n_vars], relation, rhs) for coeffs, relation, rhs in reproduction],
+        sense="max",
+    )
+    return lowest, highest

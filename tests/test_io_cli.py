@@ -40,6 +40,7 @@ from expord.generators import (
     three_signal_family,
     uninformative_experiment,
 )
+from reference_order import size_interval_programs
 
 F = Fraction
 
@@ -880,3 +881,30 @@ class TestSubcommandFuzz:
         prior = data.draw(_priors(len(run[0]["states"])))
         code = _run_on(run, lambda a, b: ["counterexample", a, b, "--prior", prior])
         assert code in (0, 1, 2)
+
+
+class TestSizeIntervalDuals:
+    """The report's duals re-check against the programs rebuilt from the pair."""
+
+    def test_bounded_interval(self, files, capsys):
+        code, doc = invoke(capsys, "size-interval", files["pi_low"], files["family"])
+        assert code == 0
+        pi, pi_prime = binary_symmetric("3/5"), three_signal_family("4/5")
+        witness_max = docs.certificate_from_doc(doc["witness_max"])
+        column = witness_max.gamma.index(F(doc["beta_max"]))
+        lowest, highest = size_interval_programs(pi, pi_prime, column)
+        dual_min = [F(v) for v in doc["dual_min"]]
+        dual_max = [F(v) for v in doc["dual_max"]]
+        assert len(dual_min) == len(lowest.rows) and len(dual_max) == len(highest.rows)
+        assert numerics.dual_verifies(lowest, dual_min, F(doc["beta_min"]))
+        assert numerics.dual_verifies(highest, dual_max, F(doc["beta_max"]))
+
+    def test_unbounded_interval_has_no_upper_dual(self, files, capsys):
+        null_signal = validate_experiment([["1/2", "0", "1/2"], ["1/4", "0", "3/4"]])
+        path = files["dir"] / "null_signal.json"
+        path.write_text(docs.dump_document(docs.experiment_to_doc(null_signal)))
+        code, doc = invoke(capsys, "size-interval", str(path), str(path))
+        assert code == 0 and doc["beta_max"] == "unbounded"
+        assert doc["dual_max"] is None
+        lowest, _ = size_interval_programs(null_signal, null_signal, 0)
+        assert numerics.dual_verifies(lowest, [F(v) for v in doc["dual_min"]], F(doc["beta_min"]))

@@ -439,3 +439,85 @@ def test_self_checks_survive_optimize_flag():
 
 def test_internal_error_is_not_an_input_error():
     assert not issubclass(InternalError, InvalidInput)
+
+
+# ------------------------------------------------------ rows rewritten lazily
+
+
+def _pivot_sequences(tableau_class, solver, lps):
+    """The ``(row, col)`` pivots ``solver`` takes on each of ``lps``."""
+    sequences = []
+    real = tableau_class.pivot
+
+    def spy(tableau, row, col):
+        sequences[-1].append((row, col))
+        real(tableau, row, col)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableau_class, "pivot", spy)
+        for lp in lps:
+            sequences.append([])
+            solver(lp)
+    return sequences
+
+
+def _assert_same_pivots(lps):
+    lazy = _pivot_sequences(numerics._Tableau, solve, lps)
+    eager = _pivot_sequences(reference_simplex._Tableau, reference_solve, lps)
+    mismatched = [k for k, (a, b) in enumerate(zip(lazy, eager)) if a != b]
+    assert not mismatched, f"pivots differ from the Fraction tableau at {mismatched[:10]}"
+    assert sum(map(len, lazy)) > len(lps)
+
+
+def _recording_denominators(monkeypatch):
+    """Spy on pivots, recording ``(row, col, at[row], d)`` before each one."""
+    seen = []
+    real = numerics._Tableau.pivot
+
+    def spy(tableau, row, col):
+        seen.append((row, col, tableau.at[row], tableau.d))
+        real(tableau, row, col)
+
+    monkeypatch.setattr(numerics._Tableau, "pivot", spy)
+    return seen
+
+
+class TestLazyRows:
+    """Pivots rewrite only the rows they change, and the answers stay the same."""
+
+    def test_random_programs_pivot_alike(self):
+        rng = random.Random(7)
+        _assert_same_pivots([random_lp(rng, 6, 6) for _ in range(500)])
+
+    def test_corpus_programs_pivot_alike(self):
+        _assert_same_pivots(_corpus_lps(60))
+
+    def test_a_row_skips_two_pivots_and_is_read_as_a_basic_value(self, monkeypatch):
+        # Each variable has a row of its own, so each pivot leaves the other
+        # rows alone: row 0 stays over d = 2 while d moves on to 6 and 30.
+        lp = linear_program(
+            objective=[1, 1, 1], sense="max",
+            rows=[([2, 0, 0], LE, 3), ([0, 3, 0], LE, 5), ([0, 0, 5], LE, 7)],
+        )
+        seen = _recording_denominators(monkeypatch)
+        out = solve(lp)
+        assert [(row, col) for row, col, _at, _d in seen] == [(0, 0), (1, 1), (2, 2)]
+        assert [(at, d) for _row, _col, at, d in seen] == [(1, 1), (1, 2), (1, 6)]
+        assert out == reference_solve(lp)
+        assert out.x == (F(3, 2), F(5, 3), F(7, 5))
+        assert out.objective == F(3, 2) + F(5, 3) + F(7, 5)
+
+    def test_a_drive_out_pivot_on_a_row_never_brought_up(self, monkeypatch):
+        # Phase one pivots x1 into row 0 (d = 2) and ends with row 1's
+        # artificial basic at zero; row 1 has no x1, so it is still over 1
+        # when the drive-out pivot lands on its x3 entry of -1.
+        lp = linear_program(
+            objective=[0, -1, 1], sense="min",
+            rows=[([2, 1, 0], EQ, 2), ([0, 0, -1], EQ, 0)],
+        )
+        seen = _recording_denominators(monkeypatch)
+        out = solve(lp)
+        assert seen[:2] == [(0, 0, 1, 1), (1, 2, 1, 2)]
+        assert out == reference_solve(lp)
+        assert out.status == OPTIMAL
+        assert out.x == (0, 2, 0) and out.objective == -2

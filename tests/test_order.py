@@ -8,6 +8,7 @@ with accuracy q' otherwise.  The weighted order holds iff 2q - 1 <=
 """
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,13 +37,16 @@ from expord import (
     verify_certificate,
 )
 from expord.order import blackwell_farkas
+from expord.numerics import dual_verifies
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     dilution_certificate,
     perfect_experiment,
     three_signal_family,
     uninformative_experiment,
 )
+import reference_order
 
 F = Fraction
 
@@ -408,3 +412,109 @@ def test_certificate_checks_survive_optimize_flag():
     assert done.returncode == 0, done.stderr
     assert "debug: False" in done.stdout
     assert "InternalError: solver returned a non-verifying psi" in done.stdout
+
+
+# ------------------------------------- the integer check vs the Fraction check
+
+
+def _corpus_certificates(pairs: int) -> list:
+    """Every certificate the corpus-order calls produce on the first corpus pairs."""
+    found = []
+    for pi, _prior, pi_prime in corpus_pairs(20250814, pairs):
+        sized = min_size(pi, pi_prime)
+        interval = size_interval(pi, pi_prime)
+        found += [check_weighted(pi, pi_prime), check_blackwell(pi, pi_prime)]
+        if sized is not None:
+            found += [sized[1], interval.witness_min, interval.witness_max]
+    return [certificate for certificate in found if certificate is not None]
+
+
+def _with_psi(certificate, psi):
+    return GarblingCertificate(
+        pi=certificate.pi, pi_prime=certificate.pi_prime, psi=tuple(map(tuple, psi))
+    )
+
+
+class TestVerifyCertificateAgainstFractions:
+    """The integer ``verify_certificate`` words every verdict as the Fraction one does."""
+
+    @pytest.fixture(scope="class")
+    def certificates(self):
+        return _corpus_certificates(60)
+
+    @staticmethod
+    def _assert_same(certificates):
+        mismatched = [
+            k for k, certificate in enumerate(certificates)
+            if verify_certificate(certificate) != reference_order.verify_certificate(certificate)
+        ]
+        assert not mismatched, mismatched[:10]
+
+    def test_corpus_certificates(self, certificates):
+        assert len(certificates) > 100
+        assert all(verify_certificate(certificate) for certificate in certificates)
+        self._assert_same(certificates)
+
+    def test_one_entry_moved(self, certificates):
+        rng = random.Random(11)
+        moved = []
+        for certificate in certificates:
+            psi = [list(row) for row in certificate.psi]
+            i, j = rng.randrange(len(psi)), rng.randrange(len(psi[0]))
+            entry = psi[i][j]
+            psi[i][j] = rng.choice([entry + F(1, 7), entry + 3] + ([entry / 3] if entry else []))
+            moved.append(_with_psi(certificate, psi))
+        self._assert_same(moved)
+        messages = [m for c in moved for m in verify_certificate(c).violations]
+        assert any(m.startswith("reproduction fails") for m in messages)
+        assert any(m.startswith("weight identity fails") for m in messages)
+        # A move onto a signal of pi_prime that never fires still verifies.
+        assert sum(not verify_certificate(c) for c in moved) > len(moved) * 9 // 10
+
+    def test_scaled_below_size_one(self, certificates):
+        blackwell = next(c for c in certificates if c.beta == 1)
+        scaled = _with_psi(blackwell, [[v / 2 for v in row] for row in blackwell.psi])
+        result = verify_certificate(scaled)
+        assert result == reference_order.verify_certificate(scaled)
+        assert result.violations[-1] == "size 1/2 below 1"
+
+
+# --------------------------------------------------- the size interval's duals
+
+
+def _assert_interval_duals_verify(pi, pi_prime, interval):
+    if interval.beta_max is None:
+        assert interval.dual_max is None and interval.witness_max is None
+        column = 0
+    else:
+        column = interval.witness_max.gamma.index(interval.beta_max)
+    lowest, highest = reference_order.size_interval_programs(pi, pi_prime, column)
+    assert dual_verifies(lowest, interval.dual_min, interval.beta_min)
+    moved = (interval.dual_min[0] + 1, *interval.dual_min[1:])
+    assert not dual_verifies(lowest, moved, interval.beta_min)
+    if interval.beta_max is not None:
+        assert dual_verifies(highest, interval.dual_max, interval.beta_max)
+
+
+class TestSizeIntervalDuals:
+    def test_hand_pairs(self):
+        null_signal = validate_experiment([["1/2", "0", "1/2"], ["1/4", "0", "3/4"]])
+        pairs = [
+            (binary_symmetric("3/5"), three_signal_family("4/5")),
+            (binary_symmetric("4/5"), three_signal_family("9/10")),
+            (binary_symmetric("3/5"), dilute(binary_symmetric("3/5"), 2)),
+            (null_signal, null_signal),
+        ]
+        intervals = [size_interval(pi, pi_prime) for pi, pi_prime in pairs]
+        assert intervals[-1].dual_max is None
+        for (pi, pi_prime), interval in zip(pairs, intervals):
+            _assert_interval_duals_verify(pi, pi_prime, interval)
+
+    def test_corpus_pairs(self):
+        seen = set()
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 60):
+            interval = size_interval(pi, pi_prime)
+            if interval is not None:
+                _assert_interval_duals_verify(pi, pi_prime, interval)
+                seen.add(interval.unbounded)
+        assert seen == {True, False}
