@@ -21,6 +21,8 @@ from .experiments import (
     Experiment,
     Prior,
     Weight,
+    _check_distribution,
+    _check_table,
     check_belief,
     make_weight,
     regularize,
@@ -34,7 +36,7 @@ from .numerics import (
     linear_program,
     solve,
 )
-from .order import VerificationResult
+from .order import _require_shared_states
 
 Belief = tuple[Fraction, ...]
 
@@ -130,12 +132,7 @@ class HullMembershipCertificate:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if len(self.coefficients) != len(self.generators):
-            raise InvalidInput("one coefficient per generator is required")
-        if any(c < 0 for c in self.coefficients):
-            raise InvalidInput("hull coefficients must be nonnegative")
-        if sum(self.coefficients, Fraction(0)) != 1:
-            raise InvalidInput("hull coefficients must sum to 1")
+        _check_distribution(self.coefficients, len(self.generators), "hull coefficient vector")
         for t in range(len(self.point)):
             mixed = sum(
                 (c * g[t] for c, g in zip(self.coefficients, self.generators)),
@@ -219,14 +216,9 @@ class CouplingCertificate:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.matrix) != len(self.pi_atoms):
-            raise InvalidInput("one coupling row per pi atom is required")
-        for row in self.matrix:
-            if len(row) != len(self.pi_prime_atoms):
-                raise InvalidInput("one coupling column per pi_prime atom is required")
-            for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("coupling entries must be Fractions")
+        _check_table(
+            self.matrix, len(self.pi_atoms), len(self.pi_prime_atoms), "coupling matrix"
+        )
 
     @property
     def beta(self) -> Fraction:
@@ -259,8 +251,7 @@ def check_weighted_beliefs(
     in bijection with its signals).  The coupling sends each atom of ``pi``
     to hull coefficients over the atoms of ``pi_prime``.
     """
-    if pi.states != pi_prime.states:
-        raise InvalidInput("experiments must share the same state labels")
+    _require_shared_states(pi, pi_prime)
     source = posteriors(pi, mu0)
     target = posteriors(regularize(pi_prime), mu0)
     generators = target.beliefs

@@ -28,7 +28,8 @@ from typing import Callable, Sequence, Union
 
 from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
 from .experiments import (
-    DecisionProblem, Experiment, Prior, _check_measure, _default_labels, check_belief
+    DecisionProblem, Experiment, Prior, _check_distribution, _check_labels, _check_measure,
+    _default_labels, _is_count, check_belief,
 )
 from .numerics import (
     EQ,
@@ -42,7 +43,7 @@ from .numerics import (
     linear_program,
     solve,
 )
-from .order import check_weighted
+from .order import _require_shared_states, check_weighted
 
 Tolerance = Union[RationalLike, float]
 
@@ -77,23 +78,12 @@ class MarkovChain:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        _check_labels(self.states, "state")
         n = len(self.states)
-        if n == 0:
-            raise InvalidInput("a chain needs at least one state")
-        if len(set(self.states)) != n:
-            raise InvalidInput("duplicate state labels")
         if len(self.rows) != n:
             raise InvalidInput("one transition row per state is required")
         for label, row in zip(self.states, self.rows):
-            if len(row) != n:
-                raise InvalidInput(f"row for state {label!r} has the wrong length")
-            for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("transition entries must be Fractions")
-                if entry < 0:
-                    raise InvalidInput("transition entries must be nonnegative")
-            if sum(row, Fraction(0)) != 1:
-                raise InvalidInput(f"row for state {label!r} does not sum to 1")
+            _check_distribution(row, n, "transition row for state", label)
 
     @property
     def n_states(self) -> int:
@@ -146,11 +136,6 @@ def _check_shared_states(chain: MarkovChain, experiment: Experiment) -> None:
         raise InvalidInput("chain and experiment must share state labels")
 
 
-def _is_count(value: object) -> bool:
-    """An int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _successors(chain: MarkovChain, experiment: Experiment, belief: Belief) -> list:
     """The transition-then-signal step from a belief, for every signal.
 
@@ -194,6 +179,9 @@ class BeliefSet:
     def __post_init__(self) -> None:
         if not self.points:
             raise InvalidInput("a belief set needs at least one point")
+        dim = len(self.points[0])
+        for point in self.points:
+            _check_distribution(point, dim, "belief-set point")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -508,8 +496,7 @@ def counterexample(
     problem is re-verified for horizons 1..4, and those stopping values
     come back with it as (horizon, value with pi, value with pi_prime).
     """
-    if pi.states != pi_prime.states:
-        raise InvalidInput("experiments must share the same state labels")
+    _require_shared_states(pi, pi_prime)
     if not mu.full_support:
         raise InvalidInput("the construction needs a full-support prior")
     if check_weighted(pi, pi_prime) is not None:

@@ -10,7 +10,9 @@ any object that exists is coherent.
 Three decisions every other layer makes live here, once each: Bayes' rule
 (:meth:`Experiment.bayes`), the best action against a belief
 (:meth:`DecisionProblem.best_response`), and what counts as a belief
-(:func:`check_belief`).
+(:func:`check_belief`).  So does one check per input invariant: an exact
+probability vector, a Fraction table of a given shape, a valid weight for
+an experiment, a count, a label tuple and a measure.
 
 A decision problem also keeps its payoff table as integers over one
 positive denominator, the LCM of the payoff denominators, computed once
@@ -44,6 +46,50 @@ def _check_measure(measure: Sequence[Fraction], n_states: int) -> None:
             raise InvalidInput(f"measure entry {entry!r} is not an int or a Fraction")
 
 
+def _is_count(value: object) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject(what: str, label: str | None, problem: str) -> InvalidInput:
+    name = what if label is None else f"{what} {label!r}"
+    return InvalidInput(f"{name} {problem}")
+
+
+def _check_distribution(
+    entries: Sequence[Fraction], length: int, what: str, label: str | None = None
+) -> None:
+    """``length`` Fractions, none negative, summing to exactly 1.
+
+    ``what`` (followed by ``label``, when given) names the vector in the
+    error message.
+    """
+    if len(entries) != length:
+        raise _reject(what, label, f"has {len(entries)} entries, expected {length}")
+    for entry in entries:
+        if not isinstance(entry, Fraction):
+            raise _reject(what, label, f"entries must be Fractions, got {entry!r}")
+        if entry < 0:
+            raise _reject(what, label, f"has a negative entry {entry}")
+    total = sum(entries, Fraction(0))
+    if total != 1:
+        raise _reject(what, label, f"sums to {total}, expected 1")
+
+
+def _check_table(
+    table: Sequence[Sequence[Fraction]], n_rows: int, n_cols: int, what: str
+) -> None:
+    """``n_rows`` rows of ``n_cols`` Fractions each."""
+    if len(table) != n_rows:
+        raise InvalidInput(f"{what} has {len(table)} rows, expected {n_rows}")
+    for i, row in enumerate(table):
+        if len(row) != n_cols:
+            raise InvalidInput(f"{what} row {i} has {len(row)} entries, expected {n_cols}")
+        for entry in row:
+            if not isinstance(entry, Fraction):
+                raise InvalidInput(f"{what} entries must be Fractions, got {entry!r}")
+
+
 def _check_labels(labels: tuple[str, ...], kind: str) -> None:
     if not labels:
         raise InvalidInput(f"{kind} labels must be nonempty")
@@ -71,19 +117,9 @@ class Experiment:
         _check_labels(self.signals, "signal")
         if len(self.matrix) != len(self.states):
             raise InvalidInput("one matrix row per state is required")
+        n_signals = len(self.signals)
         for label, row in zip(self.states, self.matrix):
-            if len(row) != len(self.signals):
-                raise InvalidInput(f"row for state {label!r} has the wrong length")
-            for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("matrix entries must be Fractions")
-                if entry < 0:
-                    raise InvalidInput(f"negative probability in state {label!r}")
-            total = sum(row, Fraction(0))
-            if total != 1:
-                raise InvalidInput(
-                    f"row for state {label!r} sums to {total}, expected 1"
-                )
+            _check_distribution(row, n_signals, "row for state", label)
 
     @cached_property
     def _integer_columns(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -155,15 +191,7 @@ class Prior:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.weights:
-            raise InvalidInput("a prior needs at least one state")
-        for entry in self.weights:
-            if not isinstance(entry, Fraction):
-                raise InvalidInput("prior entries must be Fractions")
-            if entry < 0:
-                raise InvalidInput("prior entries must be nonnegative")
-        if sum(self.weights, Fraction(0)) != 1:
-            raise InvalidInput("prior must sum to exactly 1")
+        _check_distribution(self.weights, len(self.weights), "prior")
 
     @property
     def full_support(self) -> bool:
@@ -177,12 +205,7 @@ def check_belief(belief: Sequence[RationalLike], n_states: int) -> tuple[Fractio
     sum to exactly one.
     """
     point = tuple(as_rational(entry) for entry in belief)
-    if len(point) != n_states:
-        raise InvalidInput("belief dimension does not match the state set")
-    if any(entry < 0 for entry in point):
-        raise InvalidInput("belief entries must be nonnegative")
-    if sum(point, Fraction(0)) != 1:
-        raise InvalidInput("belief must sum to exactly 1")
+    _check_distribution(point, n_states, "belief")
     return point
 
 
@@ -232,11 +255,17 @@ class Weight:
             raise InvalidInput("weight size below 1 is impossible for a valid weight")
 
 
+def _require_weight(experiment: Experiment, values: Sequence[Fraction]) -> None:
+    if len(values) != experiment.n_signals:
+        raise InvalidInput("weight dimension does not match the signal set")
+    if not weight_check(experiment, values):
+        raise InvalidInput("not a valid weight for this experiment")
+
+
 def make_weight(experiment: Experiment, values: Sequence[RationalLike]) -> Weight:
     """Validate ``values`` against ``experiment`` and wrap them as a Weight."""
     converted = tuple(as_rational(v) for v in values)
-    if not weight_check(experiment, converted):
-        raise InvalidInput("not a valid weight for this experiment")
+    _require_weight(experiment, converted)
     return Weight(values=converted, size=max(converted))
 
 
@@ -254,12 +283,9 @@ def apply_weight(weight: Weight | Sequence[RationalLike], experiment: Experiment
     """
     if isinstance(weight, Weight):
         values = weight.values
-        if len(values) != experiment.n_signals:
-            raise InvalidInput("weight dimension does not match the signal set")
-        if not weight_check(experiment, values):
-            raise InvalidInput("weight is not valid for this experiment")
     else:
-        values = make_weight(experiment, weight).values
+        values = tuple(as_rational(v) for v in weight)
+    _require_weight(experiment, values)
     matrix = tuple(
         tuple(v * p for v, p in zip(values, row)) for row in experiment.matrix
     )
@@ -345,10 +371,7 @@ def residual_experiment(experiment: Experiment, weight: Weight) -> Experiment:
     reproduces a dilution of the reweighted experiment.
     """
     values = weight.values
-    if len(values) != experiment.n_signals:
-        raise InvalidInput("weight dimension does not match the signal set")
-    if not weight_check(experiment, values):
-        raise InvalidInput("weight is not valid for this experiment")
+    _require_weight(experiment, values)
     size = weight.size
     if size == 1:
         raise InvalidInput("residual experiment requires weight size > 1")
@@ -381,15 +404,8 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         _check_labels(self.actions, "action")
-        if len(self.payoffs) != len(self.actions):
-            raise InvalidInput("one payoff row per action is required")
         n_states = len(self.prior.weights)
-        for label, row in zip(self.actions, self.payoffs):
-            if len(row) != n_states:
-                raise InvalidInput(f"payoff row for action {label!r} has the wrong length")
-            for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("payoffs must be Fractions")
+        _check_table(self.payoffs, len(self.actions), n_states, "payoff table")
         flat, scale = _clear_denominators([u for row in self.payoffs for u in row])
         rows = tuple(
             tuple(flat[k : k + n_states]) for k in range(0, len(flat), n_states)

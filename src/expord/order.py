@@ -24,7 +24,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .experiments import Experiment, Weight, apply_weight, make_weight, weight_check
+from .experiments import (
+    Experiment, Weight, _check_table, _require_weight, apply_weight, make_weight
+)
 from .numerics import (
     EQ,
     INFEASIBLE,
@@ -73,18 +75,12 @@ class GarblingCertificate:
     psi: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.psi) != self.pi.n_signals:
-            raise InvalidInput("psi must have one row per signal of pi")
+        _check_table(self.psi, self.pi.n_signals, self.pi_prime.n_signals, "psi")
         for row in self.psi:
-            if len(row) != self.pi_prime.n_signals:
-                raise InvalidInput("psi must have one column per signal of pi_prime")
             for entry in row:
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("psi entries must be Fractions")
                 if entry < 0:
                     raise InvalidInput("psi entries must be nonnegative")
-        if self.pi.states != self.pi_prime.states:
-            raise InvalidInput("certificates require a shared state set")
+        _require_shared_states(self.pi, self.pi_prime)
 
     @property
     def gamma(self) -> tuple[Fraction, ...]:
@@ -456,16 +452,13 @@ class ConditionalExperiment:
 
     def __post_init__(self) -> None:
         base = self.base
-        if len(self.event) != base.n_states:
-            raise InvalidInput("event table must have one row per state")
+        if not isinstance(self.alpha, Fraction):
+            raise InvalidInput(f"alpha must be a Fraction, got {self.alpha!r}")
         if not 0 < self.alpha <= 1:
             raise InvalidInput(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_table(self.event, base.n_states, base.n_signals, "event table")
         for t, row in enumerate(self.event):
-            if len(row) != base.n_signals:
-                raise InvalidInput("event table must have one column per signal")
             for j, entry in enumerate(row):
-                if not isinstance(entry, Fraction):
-                    raise InvalidInput("event entries must be Fractions")
                 if entry < 0 or entry > base.matrix[t][j]:
                     raise InvalidInput(
                         "event mass must lie between 0 and the base likelihood"
@@ -517,10 +510,8 @@ def to_conditional(
         if weight.pi_prime != pi_prime:
             raise InvalidInput("certificate does not concern this experiment")
         weight = weight.weight()
-    if len(weight.values) != pi_prime.n_signals:
-        raise InvalidInput("weight dimension does not match the signal set")
-    if not weight_check(pi_prime, weight.values):
-        raise InvalidInput("weight is not valid for this experiment")
+    else:
+        _require_weight(pi_prime, weight.values)
     beta = weight.size
     event = tuple(
         tuple(v / beta * p for v, p in zip(weight.values, row))
@@ -545,8 +536,7 @@ def from_conditional(
     _require_shared_states(pi, base)
     kappa = conditional.kernel()
     gamma = tuple(k / conditional.alpha for k in kappa)
-    weight = make_weight(base, gamma)
-    conditioned = apply_weight(weight, base)
+    conditioned = apply_weight(gamma, base)
     channel = check_blackwell(pi, conditioned)
     if channel is None:
         raise OrderError(

@@ -33,6 +33,7 @@ from .experiments import (
     DecisionProblem,
     Experiment,
     Prior,
+    _is_count,
     dilute,
     residual_experiment,
 )
@@ -43,7 +44,9 @@ from .numerics import (
     _clear_denominators,
     as_rational,
 )
-from .order import GarblingCertificate, blackwell_farkas, verify_certificate
+from .order import (
+    GarblingCertificate, _require_shared_states, blackwell_farkas, verify_certificate
+)
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ def _check_compatible(problem: DecisionProblem, experiment: Experiment) -> None:
 
 def _check_policy(problem: DecisionProblem, policy: PolicyTable) -> None:
     for label, index in zip(policy.actions, policy.indices):
-        if not (isinstance(index, int) and 0 <= index < problem.n_actions):
-            raise InvalidInput(f"policy action index {index!r} is out of range")
+        if not (_is_count(index) and 0 <= index < problem.n_actions):
+            raise InvalidInput(f"policy action index {index!r} is not an int in range")
         if problem.actions[index] != label:
             raise InvalidInput(
                 f"policy labels action {index} {label!r}, "
@@ -153,8 +156,7 @@ def verify_bound(
     scale = as_rational(beta)
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
-    if pi.states != pi_prime.states:
-        raise InvalidInput("experiments must share the same state labels")
+    _require_shared_states(pi, pi_prime)
     value_prime, _ = value(problem, pi_prime)
     value_pi, _ = value(problem, pi)
     base = value_null(problem)

@@ -12,7 +12,9 @@ import expord
 from expord import documents as docs
 from expord import dynamics
 from expord import (
+    BeliefSet,
     InvalidInput,
+    MarkovChain,
     StoppingProblem,
     belief_set,
     counterexample,
@@ -120,6 +122,34 @@ class TestPushForward:
     def test_floats_bools_and_wrong_lengths_rejected(self, belief):
         with pytest.raises(InvalidInput):
             self.CHAIN.push_forward(belief)
+
+
+class TestMarkovChainLabels:
+    @pytest.mark.parametrize(
+        "states", [(1, 2), ("t0", "t0"), ("t0", "")], ids=["ints", "duplicate", "empty"]
+    )
+    def test_labels_are_distinct_nonempty_strings(self, states):
+        with pytest.raises(InvalidInput):
+            MarkovChain(states=states, rows=IDENTITY_2.rows)
+
+
+class TestBeliefSetPoints:
+    """Every point of a belief set is a belief of the first point's dimension."""
+
+    SHORT = ((F(1), F(0)), (F(1, 2),))
+
+    def test_short_point_before_l1_distance(self):
+        with pytest.raises(InvalidInput):
+            BeliefSet(points=self.SHORT).l1_distance((F(1, 2), F(1, 2)))
+
+    def test_short_point_before_regular_prior_check(self):
+        with pytest.raises(InvalidInput):
+            hull = BeliefSet(points=self.SHORT)
+            regular_prior_check(IID_UNIFORM, binary_symmetric("3/5"), UNIFORM, hull)
+
+    def test_point_off_the_simplex(self):
+        with pytest.raises(InvalidInput):
+            BeliefSet(points=((F(2), F(-1)),)).l1_distance((F(1, 2), F(1, 2)))
 
 
 class TestEtaStep:

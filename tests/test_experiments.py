@@ -7,16 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expord import (
+    BeliefSet,
+    ConditionalExperiment,
+    CouplingCertificate,
+    DecisionProblem,
+    Experiment,
+    GarblingCertificate,
+    HullMembershipCertificate,
     InvalidInput,
+    MarkovChain,
     Prior,
     Weight,
     apply_weight,
+    check_weighted_beliefs,
     decision_problem,
     dilute,
     make_weight,
     prior,
     regularize,
     residual_experiment,
+    to_conditional,
     uniform_prior,
     unit_weight,
     validate_experiment,
@@ -292,11 +302,131 @@ class TestCheckBelief:
             ((F(3, 2), F(-1, 2)), 2),
             ((F(1, 2), F(1, 4)), 2),
             ((F(0), F(0)), 2),
+            ((True, False), 2),
         ],
     )
     def test_rejects_non_beliefs(self, belief, n_states):
         with pytest.raises(InvalidInput):
             check_belief(belief, n_states)
+
+
+# Each object below keeps its rows, table or weight valid through the one
+# shared check in expord.experiments, so each meets the same hostile input.
+HALF = (F(1, 2), F(1, 2))
+IDENTITY = ((F(1), F(0)), (F(0), F(1)))
+
+# The empty row is the one length a prior, which fixes its own length, can get wrong.
+NOT_DISTRIBUTIONS = {
+    "short row": (),
+    "int entry": (F(1), 0),
+    "bool entry": (F(1), False),
+    "negative entry": (F(3, 2), F(-1, 2)),
+    "sums to 2/3": (F(1, 3), F(1, 3)),
+}
+
+DISTRIBUTION_HOLDERS = {
+    "Experiment": lambda row: Experiment(
+        states=("t0", "t1"), signals=("s0", "s1"), matrix=(HALF, row)
+    ),
+    "Prior": lambda row: Prior(weights=row),
+    "MarkovChain": lambda row: MarkovChain(states=("t0", "t1"), rows=(HALF, row)),
+    # Over the identity generators the coefficients reproduce themselves.
+    "HullMembershipCertificate": lambda row: HullMembershipCertificate(
+        point=tuple(row), generators=IDENTITY, coefficients=row
+    ),
+    "BeliefSet": lambda row: BeliefSet(points=(IDENTITY[0], row)),
+}
+
+
+def _int_entry(table):
+    """The table with its first whole entry turned into an equal int."""
+    i, j = next(
+        (i, j) for i, row in enumerate(table) for j, v in enumerate(row) if v.denominator == 1
+    )
+    row = table[i][:j] + (int(table[i][j]),) + table[i][j + 1 :]
+    return table[:i] + (row,) + table[i + 1 :]
+
+
+NOT_TABLES = {
+    "missing row": lambda table: table[:-1],
+    "short row": lambda table: table[:-1] + (table[-1][:-1],),
+    "int entry": _int_entry,
+}
+
+
+def _coupling(matrix):
+    e = binary_symmetric("4/5")
+    found = check_weighted_beliefs(e, e, uniform_prior(2))
+    return CouplingCertificate(
+        prior=found.prior,
+        pi_atoms=found.pi_atoms,
+        pi_prime_atoms=found.pi_prime_atoms,
+        matrix=matrix,
+    )
+
+
+TABLE_HOLDERS = {
+    "DecisionProblem": (
+        IDENTITY,
+        lambda t: DecisionProblem(actions=("a0", "a1"), payoffs=t, prior=uniform_prior(2)),
+    ),
+    "GarblingCertificate": (
+        IDENTITY,
+        lambda t: GarblingCertificate(
+            pi=binary_symmetric("4/5"), pi_prime=binary_symmetric("4/5"), psi=t
+        ),
+    ),
+    "ConditionalExperiment": (
+        IDENTITY,
+        lambda t: ConditionalExperiment(base=perfect_experiment(2), event=t, alpha=F(1)),
+    ),
+    "CouplingCertificate": (((F(1, 2), F(0)), (F(0), F(1, 2))), _coupling),
+}
+
+THREE_SIGNALS = three_signal_family("4/5")
+
+NOT_WEIGHTS = {
+    "wrong length": Weight(values=(F(1), F(1)), size=F(1)),
+    "invalid": Weight(values=(F(2), F(2), F(2)), size=F(2)),
+}
+
+WEIGHT_USERS = {
+    "apply_weight": apply_weight,
+    "residual_experiment": lambda w, e: residual_experiment(e, w),
+    "to_conditional": lambda w, e: to_conditional(e, w),
+}
+
+
+class TestSharedChecks:
+    @pytest.mark.parametrize("build", DISTRIBUTION_HOLDERS.values(), ids=DISTRIBUTION_HOLDERS)
+    def test_distribution_accepted(self, build):
+        build(HALF)
+
+    @pytest.mark.parametrize("row", NOT_DISTRIBUTIONS.values(), ids=NOT_DISTRIBUTIONS)
+    @pytest.mark.parametrize("build", DISTRIBUTION_HOLDERS.values(), ids=DISTRIBUTION_HOLDERS)
+    def test_distribution_rejected(self, build, row):
+        with pytest.raises(InvalidInput):
+            build(row)
+
+    @pytest.mark.parametrize("table, build", TABLE_HOLDERS.values(), ids=TABLE_HOLDERS)
+    def test_table_accepted(self, table, build):
+        build(table)
+
+    @pytest.mark.parametrize("spoil", NOT_TABLES.values(), ids=NOT_TABLES)
+    @pytest.mark.parametrize("table, build", TABLE_HOLDERS.values(), ids=TABLE_HOLDERS)
+    def test_table_rejected(self, table, build, spoil):
+        with pytest.raises(InvalidInput):
+            build(spoil(table))
+
+    @pytest.mark.parametrize("weight", NOT_WEIGHTS.values(), ids=NOT_WEIGHTS)
+    @pytest.mark.parametrize("use", WEIGHT_USERS.values(), ids=WEIGHT_USERS)
+    def test_weight_rejected(self, use, weight):
+        with pytest.raises(InvalidInput):
+            use(weight, THREE_SIGNALS)
+
+    @pytest.mark.parametrize("use", WEIGHT_USERS.values(), ids=WEIGHT_USERS)
+    def test_weight_accepted(self, use):
+        use(make_weight(THREE_SIGNALS, ["0", "2", "2"]), THREE_SIGNALS)
 
 
 @settings(max_examples=60, deadline=None)

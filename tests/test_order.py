@@ -351,6 +351,14 @@ class TestConditional:
         with pytest.raises(InvalidInput):
             ConditionalExperiment(base=base, event=event, alpha=F(1, 2))
 
+    @pytest.mark.parametrize("alpha", [0.5, "1/2"])
+    def test_alpha_must_be_a_fraction(self, alpha):
+        base = binary_symmetric("4/5")
+        event = tuple(tuple(p / 2 for p in row) for row in base.matrix)
+        ConditionalExperiment(base=base, event=event, alpha=F(1, 2))
+        with pytest.raises(InvalidInput):
+            ConditionalExperiment(base=base, event=event, alpha=alpha)
+
     def test_blackwell_failure_raises_order_error(self):
         pi_prime = three_signal_family("4/5")
         weight = make_weight(pi_prime, ["0", "2", "2"])

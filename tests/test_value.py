@@ -232,6 +232,8 @@ class TestPolicyValidation:
         "negative index": (("a1", "a1"), (-1, -1)),
         "index past the last action": (("a0", "a5"), (0, 5)),
         "label contradicts the index": (("a0", "a0"), (1, 1)),
+        "bool index": (("a1", "a1"), (True, True)),
+        "float index": (("a1", "a1"), (1.0, 1.0)),
     }
 
     @pytest.mark.parametrize("actions, indices", BAD_POLICIES.values(), ids=BAD_POLICIES)
