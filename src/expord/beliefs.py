@@ -23,6 +23,7 @@ from .experiments import (
     Weight,
     _check_distribution,
     _check_table,
+    _require_shared_states,
     check_belief,
     make_weight,
     regularize,
@@ -36,7 +37,6 @@ from .numerics import (
     linear_program,
     solve,
 )
-from .order import _require_shared_states
 
 Belief = tuple[Fraction, ...]
 
@@ -64,9 +64,8 @@ class PosteriorDistribution:
     def __post_init__(self) -> None:
         if not self.atoms:
             raise InvalidInput("a posterior distribution needs at least one atom")
-        total = sum((atom.probability for atom in self.atoms), Fraction(0))
-        if total != 1:
-            raise InvalidInput(f"atom probabilities sum to {total}, expected 1")
+        probabilities = [atom.probability for atom in self.atoms]
+        _check_distribution(probabilities, len(probabilities), "atom probability vector")
         for atom in self.atoms:
             if atom.probability <= 0:
                 raise InvalidInput("zero-probability atoms must be omitted")
@@ -74,9 +73,8 @@ class PosteriorDistribution:
         if len(set(beliefs)) != len(beliefs):
             raise InvalidInput("atoms with equal beliefs must be merged")
         n = len(self.prior.weights)
-        for atom in self.atoms:
-            if len(atom.belief) != n:
-                raise InvalidInput("belief dimension does not match the prior")
+        for belief in beliefs:
+            _check_distribution(belief, n, "atom belief")
         for t in range(n):
             mean = sum(
                 (atom.probability * atom.belief[t] for atom in self.atoms),
@@ -103,22 +101,17 @@ def posteriors(experiment: Experiment, mu0: Prior) -> PosteriorDistribution:
     """
     if not mu0.full_support:
         raise InvalidInput("posteriors require a full-support prior")
-    atoms: list[tuple[list[str], Belief, Fraction]] = []
+    atoms: dict[Belief, tuple[tuple[str, ...], Fraction]] = {}
     for j, signal in enumerate(experiment.signals):
         mass, belief = experiment.bayes(mu0.weights, j)
-        if belief is None:
-            continue
-        for k, (merged, existing, prob) in enumerate(atoms):
-            if existing == belief:
-                atoms[k] = (merged + [signal], existing, prob + mass)
-                break
-        else:
-            atoms.append(([signal], belief, mass))
+        if belief is not None:
+            merged, prob = atoms.get(belief, ((), 0))
+            atoms[belief] = (merged + (signal,), prob + mass)
     return PosteriorDistribution(
         prior=mu0,
         atoms=tuple(
-            PosteriorAtom(signals=tuple(sig), belief=belief, probability=prob)
-            for sig, belief, prob in atoms
+            PosteriorAtom(signals=sig, belief=belief, probability=prob)
+            for belief, (sig, prob) in atoms.items()
         ),
     )
 

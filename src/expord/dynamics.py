@@ -29,7 +29,7 @@ from typing import Callable, Sequence, Union
 from .beliefs import Belief, HullMembershipCertificate, hull_decide, hull_membership, posteriors
 from .experiments import (
     DecisionProblem, Experiment, Prior, _check_distribution, _check_labels, _check_measure,
-    _default_labels, _is_count, check_belief,
+    _default_labels, _is_count, _require_shared_states, check_belief,
 )
 from .numerics import (
     EQ,
@@ -43,7 +43,7 @@ from .numerics import (
     linear_program,
     solve,
 )
-from .order import _require_shared_states, check_weighted
+from .order import check_weighted
 
 Tolerance = Union[RationalLike, float]
 
@@ -129,11 +129,6 @@ def stationary_distribution(chain: MarkovChain) -> tuple[Fraction, ...]:
     if outcome.status != OPTIMAL:
         raise InternalError("every stochastic matrix has a fixed point")
     return outcome.x
-
-
-def _check_shared_states(chain: MarkovChain, experiment: Experiment) -> None:
-    if chain.states != experiment.states:
-        raise InvalidInput("chain and experiment must share state labels")
 
 
 def _successors(chain: MarkovChain, experiment: Experiment, belief: Belief) -> list:
@@ -252,7 +247,7 @@ def update(
     of s against the pushed-forward belief.  Raises when the signal has
     probability zero there.
     """
-    _check_shared_states(chain, experiment)
+    _require_shared_states(chain, experiment, "chain and experiment")
     point = check_belief(belief, chain.n_states)
     if isinstance(signal, str):
         try:
@@ -284,7 +279,7 @@ def eta_step(chain: MarkovChain, experiment: Experiment, hull: BeliefSet) -> Bel
             "hull iteration requires every signal to have positive "
             "probability in every state"
         )
-    _check_shared_states(chain, experiment)
+    _require_shared_states(chain, experiment, "chain and experiment")
     points = [check_belief(point, chain.n_states) for point in hull.points]
     return belief_set(
         [image for point in points for _, image in _successors(chain, experiment, point)]
@@ -345,7 +340,7 @@ def regular_prior_check(
     experiment and the prior must share one state set.
     """
     threshold = as_tolerance(tol)
-    _check_shared_states(chain, experiment)
+    _require_shared_states(chain, experiment, "chain and experiment")
     point = check_belief(mu0.weights, chain.n_states)
     return all(
         posterior is None or hull.l1_distance(posterior) <= threshold
@@ -380,7 +375,7 @@ def merging_horizon(
     full gap profile up to that point.
     """
     threshold = as_tolerance(epsilon)
-    _check_shared_states(chain, experiment)
+    _require_shared_states(chain, experiment, "chain and experiment")
     if not (_is_count(n_max) and 1 <= n_max <= _MAX_DEPTH):
         raise InvalidInput(f"n_max must be an integer in 1..{_MAX_DEPTH}")
     if not chain.strictly_positive:
@@ -448,35 +443,52 @@ class StoppingProblem:
                     raise InvalidInput("stopping problems require |payoff| <= 1")
 
 
-def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
-    """Exact optimal value by backward induction over levels of beliefs.
+def _walk(chain: MarkovChain, experiment: Experiment, root: Belief, depth: int) -> tuple:
+    """Levels 0..depth of the distinct beliefs reachable from ``root``, and their edges.
 
-    Level t holds the distinct beliefs reachable after t periods, built
-    forward from the prior by transition-then-signal updates, with each
-    update kept as an edge (mass, index into level t + 1).  W_T(mu) is the
-    best immediate payoff, the decision problem's
+    Level t + 1 holds the transition-then-signal updates of level t, and
+    ``edges[t][i]`` keeps each update of ``levels[t][i]`` as a pair (mass,
+    index into level t + 1).
+    """
+    step = partial(_successors, chain, experiment)
+    levels = [[root]]
+    edges = []
+    for _ in range(depth):
+        following, links = _expand(levels[-1], experiment.n_signals, step)
+        levels.append(following)
+        edges.append(links)
+    return levels, edges
+
+
+def _induct(problem: DecisionProblem, walk: tuple, horizon: int) -> Fraction:
+    """W_0 at the root of a walk at least ``horizon`` deep, by backward induction.
+
+    W_horizon(mu) is the best immediate payoff, the decision problem's
     :meth:`~expord.experiments.DecisionProblem.best_response` to mu;
     earlier, W_t(mu) is the max of stopping now and the expected W_{t+1}
     along mu's edges.
     """
-    _check_shared_states(stopping.chain, experiment)
-    if stopping.horizon > _MAX_DEPTH:
-        raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
-    problem = stopping.problem
-    step = partial(_successors, stopping.chain, experiment)
-    levels = [[tuple(problem.prior.weights)]]
-    edges = []
-    for _ in range(stopping.horizon):
-        following, links = _expand(levels[-1], experiment.n_signals, step)
-        levels.append(following)
-        edges.append(links)
-    values = [problem.best_response(belief)[0] for belief in levels.pop()]
-    for level, links in zip(reversed(levels), reversed(edges)):
+    levels, edges = walk
+    values = [problem.best_response(belief)[0] for belief in levels[horizon]]
+    for level, links in zip(reversed(levels[:horizon]), reversed(edges[:horizon])):
         values = [
             max(problem.best_response(belief)[0], sum(m * values[k] for m, k in link))
             for belief, link in zip(level, links)
         ]
     return values[0]
+
+
+def stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
+    """Exact optimal value by backward induction over levels of beliefs.
+
+    The levels of distinct beliefs are walked forward from the prior to the
+    horizon, then the value is induced back to the prior.
+    """
+    _require_shared_states(stopping.chain, experiment, "chain and experiment")
+    if stopping.horizon > _MAX_DEPTH:
+        raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
+    walk = _walk(stopping.chain, experiment, stopping.problem.prior.weights, stopping.horizon)
+    return _induct(stopping.problem, walk, stopping.horizon)
 
 
 def counterexample(
@@ -536,11 +548,13 @@ def counterexample(
         prior=mu,
     )
     chain = iid_chain(mu, states=pi.states)
+    # The longest horizon's checks cover the shorter ones; one walk per
+    # experiment serves every horizon.
+    StoppingProblem(problem=problem, chain=chain, horizon=4)
+    walks = [_walk(chain, experiment, mu.weights, 4) for experiment in (pi, pi_prime)]
     values = []
     for horizon in (1, 2, 3, 4):
-        stopping = StoppingProblem(problem=problem, chain=chain, horizon=horizon)
-        better = stopping_value(stopping, pi)
-        worse = stopping_value(stopping, pi_prime)
+        better, worse = (_induct(problem, walk, horizon) for walk in walks)
         if not better > worse:
             raise InternalError("counterexample must separate at every horizon")
         values.append((horizon, better, worse))

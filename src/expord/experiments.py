@@ -12,7 +12,7 @@ Three decisions every other layer makes live here, once each: Bayes' rule
 (:meth:`DecisionProblem.best_response`), and what counts as a belief
 (:func:`check_belief`).  So does one check per input invariant: an exact
 probability vector, a Fraction table of a given shape, a valid weight for
-an experiment, a count, a label tuple and a measure.
+an experiment, a count, a label tuple, shared state labels and a measure.
 
 A decision problem also keeps its payoff table as integers over one
 positive denominator, the LCM of the payoff denominators, computed once
@@ -93,11 +93,17 @@ def _check_table(
 def _check_labels(labels: tuple[str, ...], kind: str) -> None:
     if not labels:
         raise InvalidInput(f"{kind} labels must be nonempty")
-    if len(set(labels)) != len(labels):
-        raise InvalidInput(f"duplicate {kind} labels: {labels!r}")
     for label in labels:
         if not isinstance(label, str) or not label:
             raise InvalidInput(f"{kind} labels must be nonempty strings")
+    if len(set(labels)) != len(labels):
+        raise InvalidInput(f"duplicate {kind} labels: {labels!r}")
+
+
+def _require_shared_states(first, second, what: str = "experiments") -> None:
+    """Two objects with ``states`` labels, such as experiments or a chain, must agree on them."""
+    if first.states != second.states:
+        raise InvalidInput(f"{what} must share state labels")
 
 
 @dataclass(frozen=True)
@@ -135,10 +141,6 @@ class Experiment:
     @property
     def n_signals(self) -> int:
         return len(self.signals)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        """Likelihood column of signal ``j`` across states."""
-        return tuple(row[j] for row in self.matrix)
 
     def has_full_support(self) -> bool:
         """True when every signal has positive probability in every state."""
@@ -249,6 +251,8 @@ class Weight:
     size: Fraction
 
     def __post_init__(self) -> None:
+        if not self.values:
+            raise InvalidInput("a weight needs at least one factor")
         if self.size != max(self.values):
             raise InvalidInput("weight size must equal the largest factor")
         if self.size < 1:
@@ -296,36 +300,24 @@ def regularize(experiment: Experiment) -> Experiment:
     """Drop null signals and merge signals with proportional likelihoods.
 
     Two signals are merged when their likelihood columns are positive
-    multiples of each other; the merged column is the sum and the label
-    joins the members with ``+``.  The operation is idempotent and does not
-    change the induced posterior distribution under any prior.
+    multiples of each other, that is, when :meth:`Experiment.bayes` gives
+    them the same posterior under the uniform measure; a null signal has
+    none.  The merged column is the sum and the label joins the members
+    with ``+``, in order of first occurrence.  The operation is idempotent
+    and does not change the induced posterior distribution under any prior.
     """
-    columns = [experiment.column(j) for j in range(experiment.n_signals)]
-    groups: list[list[int]] = []
-    for j, column in enumerate(columns):
-        if all(entry == 0 for entry in column):
-            continue
-        placed = False
-        for group in groups:
-            anchor = columns[group[0]]
-            pivot = next(k for k, entry in enumerate(anchor) if entry != 0)
-            if column[pivot] == 0:
-                continue
-            scale = column[pivot] / anchor[pivot]
-            if scale > 0 and all(
-                column[k] == scale * anchor[k] for k in range(len(anchor))
-            ):
-                group.append(j)
-                placed = True
-                break
-        if not placed:
-            groups.append([j])
+    uniform = [1] * experiment.n_states
+    groups: dict[tuple[Fraction, ...], list[int]] = {}
+    for j in range(experiment.n_signals):
+        _, posterior = experiment.bayes(uniform, j)
+        if posterior is not None:
+            groups.setdefault(posterior, []).append(j)
     signals = tuple(
-        "+".join(experiment.signals[j] for j in group) for group in groups
+        "+".join(experiment.signals[j] for j in group) for group in groups.values()
     )
     matrix = tuple(
         tuple(
-            sum((row[j] for j in group), Fraction(0)) for group in groups
+            sum((row[j] for j in group), Fraction(0)) for group in groups.values()
         )
         for row in experiment.matrix
     )

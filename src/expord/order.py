@@ -25,7 +25,8 @@ from operator import mul
 from typing import Sequence
 
 from .experiments import (
-    Experiment, Weight, _check_table, _require_weight, apply_weight, make_weight
+    Experiment, Weight, _check_table, _require_shared_states, _require_weight, apply_weight,
+    make_weight,
 )
 from .numerics import (
     EQ,
@@ -150,13 +151,6 @@ def verify_certificate(certificate: GarblingCertificate) -> VerificationResult:
     if max(gamma) < scale:
         violations.append(f"size {Fraction(max(gamma), scale)} below 1")
     return VerificationResult(ok=not violations, violations=tuple(violations))
-
-
-def _require_shared_states(pi: Experiment, pi_prime: Experiment) -> None:
-    if pi.states != pi_prime.states:
-        raise InvalidInput(
-            "experiments must share the same state labels to be compared"
-        )
 
 
 def _psi_program(
@@ -439,11 +433,11 @@ class ConditionalExperiment:
     """An experiment enriched with a binary event, conditionally informative.
 
     ``event[t][j]`` is the joint probability of signal j and the event in
-    state t; the base experiment's entry splits exactly into event and
-    no-event parts.  The event has the same probability ``alpha`` in every
-    state, and within each signal the event's likelihood ratio is state
-    independent, so observing the event carries no information beyond the
-    signal.
+    state t.  It is kappa_j times the base likelihood in every state, where
+    kappa = :meth:`kernel` lies in [0, 1], so the base entry splits exactly
+    into event and no-event parts and observing the event carries no
+    information beyond the signal.  The event has the same probability
+    ``alpha`` in every state.
     """
 
     base: Experiment
@@ -457,11 +451,15 @@ class ConditionalExperiment:
         if not 0 < self.alpha <= 1:
             raise InvalidInput(f"alpha must lie in (0, 1], got {self.alpha}")
         _check_table(self.event, base.n_states, base.n_signals, "event table")
-        for t, row in enumerate(self.event):
+        kappa = self.kernel()
+        if not all(0 <= k <= 1 for k in kappa):
+            raise InvalidInput("event mass must lie between 0 and the base likelihood")
+        for row, base_row in zip(self.event, base.matrix):
             for j, entry in enumerate(row):
-                if entry < 0 or entry > base.matrix[t][j]:
+                if entry != kappa[j] * base_row[j]:
                     raise InvalidInput(
-                        "event mass must lie between 0 and the base likelihood"
+                        f"event likelihood ratio at signal "
+                        f"{base.signals[j]!r} depends on the state"
                     )
             mass = sum(row, Fraction(0))
             if mass != self.alpha:
@@ -469,19 +467,6 @@ class ConditionalExperiment:
                     f"event probability must be {self.alpha} in every state, "
                     f"found {mass}"
                 )
-        for j in range(base.n_signals):
-            ratio: Fraction | None = None
-            for t in range(base.n_states):
-                if base.matrix[t][j] == 0:
-                    continue
-                current = self.event[t][j] / base.matrix[t][j]
-                if ratio is None:
-                    ratio = current
-                elif current != ratio:
-                    raise InvalidInput(
-                        f"event likelihood ratio at signal "
-                        f"{base.signals[j]!r} depends on the state"
-                    )
 
     def kernel(self) -> tuple[Fraction, ...]:
         """Per-signal event probability kappa(event | s'); 0 on null signals."""

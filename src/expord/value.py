@@ -34,6 +34,7 @@ from .experiments import (
     Experiment,
     Prior,
     _is_count,
+    _require_shared_states,
     dilute,
     residual_experiment,
 )
@@ -44,9 +45,7 @@ from .numerics import (
     _clear_denominators,
     as_rational,
 )
-from .order import (
-    GarblingCertificate, _require_shared_states, blackwell_farkas, verify_certificate
-)
+from .order import GarblingCertificate, blackwell_farkas, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,27 @@ def policy_payoff(
     if policy.signals != experiment.signals:
         raise InvalidInput("policy is indexed by a different signal set")
     _check_policy(problem, policy)
-    total = Fraction(0)
-    for t in range(problem.n_states):
-        weight = problem.prior.weights[t]
-        if weight == 0:
-            continue
-        for j in range(experiment.n_signals):
-            action = policy.indices[j]
-            total += weight * experiment.matrix[t][j] * problem.payoffs[action][t]
-    return total
+    return _plan_payoff(problem, experiment, [{a: 1} for a in policy.indices])
+
+
+def _plan_payoff(
+    problem: DecisionProblem, experiment: Experiment, plan: list[dict[int, Fraction]]
+) -> Fraction:
+    """Expected payoff of playing action a on signal j with probability plan[j][a].
+
+    The sum over states t and signals j of
+    prior(t) pi(j|t) sum_a plan[j][a] u(a, t), in Fractions.
+    """
+    payoffs = problem.payoffs
+    return sum(
+        (
+            weight * likelihood * p * payoffs[a][t]
+            for t, (weight, row) in enumerate(zip(problem.prior.weights, experiment.matrix))
+            for likelihood, mix in zip(row, plan)
+            for a, p in mix.items()
+        ),
+        Fraction(0),
+    )
 
 
 def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, PolicyTable]:
@@ -278,28 +289,13 @@ def mixed_strategy_payoff(
         raise InvalidInput(
             "size-1 certificates leave no residual; use the garbled policy directly"
         )
-    gamma = certificate.gamma
-    total = Fraction(0)
-    for t in range(problem.n_states):
-        weight = problem.prior.weights[t]
-        if weight == 0:
-            continue
-        for j in range(pi_prime.n_signals):
-            mass = weight * pi_prime.matrix[t][j]
-            if mass == 0:
-                continue
-            # Channel part: psi(s, s')/beta is the joint chance of keeping
-            # the weighted draw and garbling s' to s.
-            for i in range(pi.n_signals):
-                if certificate.psi[i][j] == 0:
-                    continue
-                action = policy.indices[i]
-                total += mass * certificate.psi[i][j] / beta * problem.payoffs[action][t]
-            fallback = 1 - gamma[j] / beta
-            if fallback != 0:
-                action = residual_policy.indices[j]
-                total += mass * fallback * problem.payoffs[action][t]
-    return total
+    # On s' the residual action has chance 1 - gamma(s')/beta, and garbling
+    # s' to s, then playing the pi policy's action at s, has psi(s, s')/beta.
+    plan = [{a: 1 - g / beta} for a, g in zip(residual_policy.indices, certificate.gamma)]
+    for action, row in zip(policy.indices, certificate.psi):
+        for mix, entry in zip(plan, row):
+            mix[action] = mix.get(action, 0) + entry / beta
+    return _plan_payoff(problem, pi_prime, plan)
 
 
 def residual_for(certificate: GarblingCertificate) -> Experiment:

@@ -24,16 +24,15 @@ from expord.dynamics import (
     MergingReport,
     StoppingProblem,
     Tolerance,
-    _check_shared_states,
     as_tolerance,
 )
-from expord.experiments import Experiment
+from expord.experiments import Experiment, _require_shared_states
 from expord.numerics import InvalidInput
 
 
 def reference_stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
     """Backward induction by recursion, memoized per (period, belief)."""
-    _check_shared_states(stopping.chain, experiment)
+    _require_shared_states(stopping.chain, experiment, "chain and experiment")
     if stopping.horizon > _MAX_DEPTH:
         raise InvalidInput(f"the horizon may be at most {_MAX_DEPTH}")
     if experiment.n_signals ** stopping.horizon > 2 ** 20:
@@ -64,7 +63,7 @@ def reference_merging_horizon(
 ) -> MergingReport:
     """The merging gap over every signal string, by matrix products."""
     threshold = as_tolerance(epsilon)
-    _check_shared_states(chain, experiment)
+    _require_shared_states(chain, experiment, "chain and experiment")
     if not 1 <= n_max <= _MAX_DEPTH:
         raise InvalidInput(f"n_max must lie in 1..{_MAX_DEPTH}")
     if not chain.strictly_positive:

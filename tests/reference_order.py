@@ -7,13 +7,19 @@ the same violation messages.  ``tests/test_order.py`` compares them.
 
 ``size_interval_programs`` spells out, independently of ``expord.order``,
 the two programs whose duals a ``SizeInterval`` carries.
+
+``check_conditional`` is the acceptance rule ``ConditionalExperiment`` had
+before it read the per-signal event probability off ``kernel()``: a bound
+scan, a mass scan and a separate ratio scan.  It must accept exactly the
+event tables the kernel check accepts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from expord.numerics import EQ, LE, linear_program
+from expord.experiments import Experiment, _check_table
+from expord.numerics import EQ, LE, InvalidInput, linear_program
 from expord.order import GarblingCertificate, VerificationResult
 
 
@@ -72,3 +78,33 @@ def size_interval_programs(pi, pi_prime, column):
         sense="max",
     )
     return lowest, highest
+
+
+def check_conditional(base: Experiment, event, alpha) -> None:
+    """Raise InvalidInput unless ``event`` is a conditional event of size ``alpha`` on ``base``."""
+    if not isinstance(alpha, Fraction):
+        raise InvalidInput(f"alpha must be a Fraction, got {alpha!r}")
+    if not 0 < alpha <= 1:
+        raise InvalidInput(f"alpha must lie in (0, 1], got {alpha}")
+    _check_table(event, base.n_states, base.n_signals, "event table")
+    for t, row in enumerate(event):
+        for j, entry in enumerate(row):
+            if entry < 0 or entry > base.matrix[t][j]:
+                raise InvalidInput("event mass must lie between 0 and the base likelihood")
+        mass = sum(row, Fraction(0))
+        if mass != alpha:
+            raise InvalidInput(
+                f"event probability must be {alpha} in every state, found {mass}"
+            )
+    for j in range(base.n_signals):
+        ratio: Fraction | None = None
+        for t in range(base.n_states):
+            if base.matrix[t][j] == 0:
+                continue
+            current = event[t][j] / base.matrix[t][j]
+            if ratio is None:
+                ratio = current
+            elif current != ratio:
+                raise InvalidInput(
+                    f"event likelihood ratio at signal {base.signals[j]!r} depends on the state"
+                )

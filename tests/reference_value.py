@@ -1,11 +1,15 @@
-"""The Fraction best-response and value loops, kept as a test-only reference.
+"""The Fraction best-response, value and plan-payoff loops, kept as a test-only reference.
 
-These are the loops ``expord.experiments.DecisionProblem.best_response`` and
-``expord.value.value`` ran before they moved to integers over one shared
+The first two are the loops ``expord.experiments.DecisionProblem.best_response``
+and ``expord.value.value`` ran before they moved to integers over one shared
 denominator.  Both compare the same scores in the same order, so on every
 input they must return identical results: the same score and action, and
-the same total and policy.  ``tests/test_value.py`` compares them.  Every
-number here is a ``fractions.Fraction``.
+the same total and policy.  The last two are the state-by-state sums
+``expord.value.policy_payoff`` and ``expord.value.mixed_strategy_payoff``
+made before both passed their plans to one plan-payoff kernel; they take
+inputs those functions have already validated, and the sums are exact, so
+they must return the same Fraction.  ``tests/test_value.py`` compares them.
+Every number here is a ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Sequence
 
 from expord.experiments import DecisionProblem, Experiment
 from expord.numerics import InvalidInput
+from expord.order import GarblingCertificate
 from expord.value import PolicyTable
 
 
@@ -58,3 +63,50 @@ def reference_value(
         indices=tuple(chosen),
     )
     return total, policy
+
+
+def reference_policy_payoff(
+    problem: DecisionProblem, experiment: Experiment, policy: PolicyTable
+) -> Fraction:
+    """Sum of prior(t) pi(j|t) u(policy(j), t) over states and signals."""
+    total = Fraction(0)
+    for t in range(problem.n_states):
+        weight = problem.prior.weights[t]
+        if weight == 0:
+            continue
+        for j in range(experiment.n_signals):
+            action = policy.indices[j]
+            total += weight * experiment.matrix[t][j] * problem.payoffs[action][t]
+    return total
+
+
+def reference_mixed_strategy_payoff(
+    problem: DecisionProblem,
+    pi: Experiment,
+    pi_prime: Experiment,
+    certificate: GarblingCertificate,
+    policy: PolicyTable,
+    residual_policy: PolicyTable,
+) -> Fraction:
+    """The simulated strategy's payoff, channel part and residual part per (t, s')."""
+    beta = certificate.beta
+    gamma = certificate.gamma
+    total = Fraction(0)
+    for t in range(problem.n_states):
+        weight = problem.prior.weights[t]
+        if weight == 0:
+            continue
+        for j in range(pi_prime.n_signals):
+            mass = weight * pi_prime.matrix[t][j]
+            if mass == 0:
+                continue
+            for i in range(pi.n_signals):
+                if certificate.psi[i][j] == 0:
+                    continue
+                action = policy.indices[i]
+                total += mass * certificate.psi[i][j] / beta * problem.payoffs[action][t]
+            fallback = 1 - gamma[j] / beta
+            if fallback != 0:
+                action = residual_policy.indices[j]
+                total += mass * fallback * problem.payoffs[action][t]
+    return total

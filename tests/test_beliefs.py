@@ -10,6 +10,8 @@ from expord import (
     CouplingCertificate,
     HullMembershipCertificate,
     InvalidInput,
+    PosteriorAtom,
+    PosteriorDistribution,
     apply_weight,
     check_blackwell,
     check_weighted,
@@ -85,6 +87,25 @@ class TestPosteriors:
                 F(0),
             )
             assert total == mu.weights[t]
+
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            (((F(3, 2), F(-1, 2)), F(1, 2)), ((F(-1, 2), F(3, 2)), F(1, 2))),
+            (((F(1), F(0)), 0.5), ((F(0), F(1)), 0.5)),
+        ],
+        ids=["off the simplex", "float probability"],
+    )
+    def test_atoms_must_be_beliefs_with_fraction_probabilities(self, atoms):
+        with pytest.raises(InvalidInput):
+            PosteriorDistribution(
+                prior=UNIFORM,
+                atoms=tuple(
+                    PosteriorAtom(signals=(f"s{k}",), belief=belief, probability=p)
+                    for k, (belief, p) in enumerate(atoms)
+                ),
+            )
 
 
 class TestHullMembership:

@@ -126,7 +126,9 @@ class TestPushForward:
 
 class TestMarkovChainLabels:
     @pytest.mark.parametrize(
-        "states", [(1, 2), ("t0", "t0"), ("t0", "")], ids=["ints", "duplicate", "empty"]
+        "states",
+        [(1, 2), ("t0", "t0"), ("t0", ""), (["t0"], "t1")],
+        ids=["ints", "duplicate", "empty", "unhashable"],
     )
     def test_labels_are_distinct_nonempty_strings(self, states):
         with pytest.raises(InvalidInput):

@@ -1,5 +1,6 @@
 """Core data model tests: experiments, priors, weights, constructions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,8 +34,11 @@ from expord import (
     weight_check,
 )
 from expord.experiments import check_belief
+
+import reference_experiments
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     perfect_experiment,
     random_experiment,
     three_signal_family,
@@ -114,6 +118,10 @@ class TestWeights:
         e = three_signal_family("4/5")
         assert not weight_check(e, (F(-1), F(2), F(3)))
 
+    def test_empty_weight_rejected(self):
+        with pytest.raises(InvalidInput):
+            Weight(values=(), size=F(1))
+
 
 class TestApplyWeight:
     def test_unit_weight_identity(self):
@@ -162,6 +170,38 @@ class TestRegularize:
     def test_regular_input_unchanged(self):
         e = binary_symmetric("4/5")
         assert regularize(e) == e
+
+    def test_matches_the_proportionality_reference(self):
+        rng = random.Random(23)
+        experiments = [
+            _split_columns(rng, random_experiment(rng, rng.randint(1, 4), rng.randint(1, 4)))
+            for _ in range(400)
+        ]
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
+            experiments += [pi, pi_prime]
+        mismatched = [
+            k for k, e in enumerate(experiments)
+            if regularize(e) != reference_experiments.regularize(e)
+        ]
+        assert not mismatched, mismatched[:10]
+        assert sum(regularize(e).n_signals < e.n_signals for e in experiments) > 300
+
+
+def _split_columns(rng, experiment):
+    """Each column split into positive multiples, null columns mixed in, shuffled."""
+    columns = []
+    for j in range(experiment.n_signals):
+        shares = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        columns += [
+            [row[j] * share / sum(shares) for row in experiment.matrix] for share in shares
+        ]
+    columns += [[F(0)] * experiment.n_states for _ in range(rng.randint(0, 2))]
+    rng.shuffle(columns)
+    return Experiment(
+        states=experiment.states,
+        signals=tuple(f"s{k}" for k in range(len(columns))),
+        matrix=tuple(zip(*columns)),
+    )
 
 
 class TestDilute:

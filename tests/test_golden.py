@@ -22,6 +22,10 @@ GOLDEN = {
         ["-m", "expord.cli", "selftest", "--seed", "0"],
         "621374fb3c744efcca519b6adfa73e3a",
     ),
+    "selftest_O": (
+        ["-O", "-m", "expord.cli", "selftest", "--seed", "0"],
+        "621374fb3c744efcca519b6adfa73e3a",
+    ),
     "belief_geometry": (
         ["demos/belief_geometry.py"], "17d44630c131af4af0643165470c816d"
     ),

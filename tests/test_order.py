@@ -43,6 +43,7 @@ from expord.generators import (
     corpus_pairs,
     dilution_certificate,
     perfect_experiment,
+    random_experiment,
     three_signal_family,
     uninformative_experiment,
 )
@@ -373,6 +374,64 @@ class TestConditional:
         for t in range(2):
             for j in range(3):
                 assert ce.event[t][j] == ce.alpha * reweighted.matrix[t][j]
+
+
+def _accepts(build, *args) -> bool:
+    try:
+        build(*args)
+    except InvalidInput:
+        return False
+    return True
+
+
+def _event_tables(seed: int) -> list:
+    """Seeded (base, event, alpha) triples, valid and spoiled.
+
+    The valid events are a constant kappa on random experiments and the
+    ``to_conditional`` of every minimal-size certificate on the first
+    corpus pairs.  Each is also spoiled three ways: one entry moved, one
+    signal's kappa pushed outside [0, 1], and a random table of the same
+    shape.
+    """
+    rng = random.Random(seed)
+    valid = []
+    for _ in range(150):
+        base = random_experiment(rng, rng.randint(1, 3), rng.randint(1, 4))
+        kappa = F(rng.randint(1, 6), 6)
+        valid.append((base, tuple(tuple(kappa * p for p in row) for row in base.matrix), kappa))
+    for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
+        sized = min_size(pi, pi_prime)
+        if sized is not None:
+            conditional = to_conditional(pi_prime, sized[1])
+            valid.append((pi_prime, conditional.event, conditional.alpha))
+    cases = list(valid)
+    for base, event, alpha in valid:
+        table = [list(row) for row in event]
+        t, j = rng.randrange(base.n_states), rng.randrange(base.n_signals)
+        table[t][j] += rng.choice([F(-1, 12), F(1, 12), base.matrix[t][j], F(1, 2)])
+        cases.append((base, tuple(map(tuple, table)), alpha))
+        scale = rng.choice([F(-1, 2), F(3, 2), F(2)])
+        table = [[p * scale if k == j else e for k, (p, e) in enumerate(zip(prow, erow))]
+                 for prow, erow in zip(base.matrix, event)]
+        cases.append((base, tuple(map(tuple, table)), alpha))
+        table = tuple(
+            tuple(F(rng.randint(-1, 12), 12) * p for p in row) for row in base.matrix
+        )
+        mass = sum(table[0], F(0))
+        cases.append((base, table, mass if 0 < mass <= 1 else alpha))
+    return cases
+
+
+class TestConditionalAgainstTheRatioScan:
+    """Reading kappa off ``kernel()`` accepts exactly the tables the ratio scan accepted."""
+
+    def test_seeded_event_tables(self):
+        cases = _event_tables(41)
+        verdicts = [_accepts(ConditionalExperiment, *case) for case in cases]
+        reference = [_accepts(reference_order.check_conditional, *case) for case in cases]
+        mismatched = [k for k, (a, b) in enumerate(zip(verdicts, reference)) if a != b]
+        assert not mismatched, mismatched[:10]
+        assert 200 < sum(verdicts) < len(cases) - 200
 
 
 class TestVerifyCertificate:

@@ -1,5 +1,6 @@
 """Decision-problem values, the size-beta payoff bound, and its falsifier."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from expord import (
     policy_payoff,
     random_decision_problem,
     residual_for,
+    size_interval,
     value,
     value_null,
     verify_bound,
@@ -27,11 +29,17 @@ from expord import (
 from expord import documents as docs
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     perfect_experiment,
     three_signal_family,
     uninformative_experiment,
 )
-from reference_value import reference_best_response, reference_value
+from reference_value import (
+    reference_best_response,
+    reference_mixed_strategy_payoff,
+    reference_policy_payoff,
+    reference_value,
+)
 
 F = Fraction
 
@@ -342,6 +350,41 @@ class TestAgainstFractionLoops:
         assert value_null(problem) == reference_best_response(
             problem, problem.prior.weights
         )[0]
+
+    def test_plan_payoffs_over_corpus_pairs(self):
+        rng = random.Random(29)
+        mixed = 0
+        for k, (pi, _prior, pi_prime) in enumerate(corpus_pairs(20250814, 300)):
+            problem = random_decision_problem(k, rng.randint(1, 4), pi.n_states)
+            if k % 2:
+                # A prior with a zero, so that some states carry no weight.
+                weights = (F(0),) + problem.prior.weights[1:]
+                problem = DecisionProblem(
+                    actions=problem.actions,
+                    payoffs=problem.payoffs,
+                    prior=Prior(weights=tuple(w / sum(weights) for w in weights)),
+                )
+
+            def policy(experiment):
+                indices = tuple(rng.randrange(problem.n_actions) for _ in experiment.signals)
+                return PolicyTable(
+                    signals=experiment.signals,
+                    actions=tuple(problem.actions[a] for a in indices),
+                    indices=indices,
+                )
+
+            for experiment in (pi, pi_prime):
+                sigma = policy(experiment)
+                got = policy_payoff(problem, experiment, sigma)
+                assert got == reference_policy_payoff(problem, experiment, sigma)
+            interval = size_interval(pi, pi_prime)
+            witnesses = () if interval is None else (interval.witness_min, interval.witness_max)
+            for certificate in witnesses:
+                if certificate is not None and certificate.beta > 1:
+                    args = (problem, pi, pi_prime, certificate, policy(pi), policy(pi_prime))
+                    assert mixed_strategy_payoff(*args) == reference_mixed_strategy_payoff(*args)
+                    mixed += 1
+        assert mixed > 50
 
     def test_tie_and_silent_signal(self):
         problem = decision_problem([["1", "0"], ["1", "0"], ["0", "1"]], ["1", "0"])
