@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .experiments import (
@@ -22,6 +23,7 @@ from .experiments import (
     Prior,
     Weight,
     _check_distribution,
+    _check_labels,
     _check_table,
     _require_shared_states,
     check_belief,
@@ -46,17 +48,30 @@ class PosteriorAtom:
     """One support point of a posterior distribution.
 
     ``signals`` lists every signal mapped to this belief; their
-    probabilities are merged into one atom.
+    probabilities are merged into one atom.  Both are tuples, and the
+    signals are distinct nonempty strings.
     """
 
     signals: tuple[str, ...]
     belief: Belief
     probability: Fraction
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.signals, tuple):
+            raise InvalidInput(f"atom signals must be a tuple, got {self.signals!r}")
+        _check_labels(self.signals, "signal")
+        if not isinstance(self.belief, tuple):
+            raise InvalidInput(f"atom belief must be a tuple, got {self.belief!r}")
+
 
 @dataclass(frozen=True)
 class PosteriorDistribution:
-    """The exact distribution over posterior beliefs induced by a prior."""
+    """The exact distribution over posterior beliefs induced by a prior.
+
+    The checks compare integers: the probability-vector checks return the
+    atom probabilities and each atom belief over their own denominators,
+    and the martingale identity is compared over one common denominator.
+    """
 
     prior: Prior
     atoms: tuple[PosteriorAtom, ...]
@@ -65,22 +80,23 @@ class PosteriorDistribution:
         if not self.atoms:
             raise InvalidInput("a posterior distribution needs at least one atom")
         probabilities = [atom.probability for atom in self.atoms]
-        _check_distribution(probabilities, len(probabilities), "atom probability vector")
-        for atom in self.atoms:
-            if atom.probability <= 0:
-                raise InvalidInput("zero-probability atoms must be omitted")
-        beliefs = [atom.belief for atom in self.atoms]
-        if len(set(beliefs)) != len(beliefs):
-            raise InvalidInput("atoms with equal beliefs must be merged")
+        masses, mass_scale = _check_distribution(
+            probabilities, len(probabilities), "atom probability vector"
+        )
+        if min(masses) == 0:
+            raise InvalidInput("zero-probability atoms must be omitted")
         n = len(self.prior.weights)
-        for belief in beliefs:
-            _check_distribution(belief, n, "atom belief")
-        for t in range(n):
-            mean = sum(
-                (atom.probability * atom.belief[t] for atom in self.atoms),
-                Fraction(0),
-            )
-            if mean != self.prior.weights[t]:
+        cleared = [_check_distribution(atom.belief, n, "atom belief") for atom in self.atoms]
+        if len({tuple(ints) for ints, _ in cleared}) != len(cleared):
+            raise InvalidInput("atoms with equal beliefs must be merged")
+        # Atom k's probability times entry t of its belief is
+        # factors[k] * cleared[k][0][t] over the denominator mass_scale * common.
+        common = lcm(*[scale for _, scale in cleared])
+        factors = [m * (common // scale) for m, (_, scale) in zip(masses, cleared)]
+        weights, prior_scale = self.prior._integer_weights
+        for t, weight in enumerate(weights):
+            mean = sum(f * ints[t] for f, (ints, _) in zip(factors, cleared))
+            if mean * prior_scale != weight * mass_scale * common:
                 raise InvalidInput(
                     "martingale property fails: posterior mean differs from prior"
                 )

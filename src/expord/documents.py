@@ -260,7 +260,7 @@ _PARSERS = {
 def parse_document(doc: Any, path: str = "document"):
     """Dispatch a raw JSON object to its typed parser by ``kind``."""
     kind = _need(doc, "kind", path)
-    parser = _PARSERS.get(kind)
+    parser = _PARSERS.get(kind) if isinstance(kind, str) else None
     if parser is None:
         raise _fail(f"{path}.kind", f"unknown document kind {kind!r}")
     return parser(doc, path)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -58,22 +59,31 @@ def _reject(what: str, label: str | None, problem: str) -> InvalidInput:
 
 def _check_distribution(
     entries: Sequence[Fraction], length: int, what: str, label: str | None = None
-) -> None:
+) -> tuple[list[int], int]:
     """``length`` Fractions, none negative, summing to exactly 1.
 
     ``what`` (followed by ``label``, when given) names the vector in the
-    error message.
+    error message.  The sum is taken over integers: the entries times
+    ``scale``, the LCM of their denominators, are returned with ``scale``.
+    Each form sums to its scale, so two vectors that pass are equal exactly
+    when their integer forms are.
     """
     if len(entries) != length:
         raise _reject(what, label, f"has {len(entries)} entries, expected {length}")
+    ratios = []
     for entry in entries:
         if not isinstance(entry, Fraction):
             raise _reject(what, label, f"entries must be Fractions, got {entry!r}")
-        if entry < 0:
+        ratio = entry.as_integer_ratio()
+        if ratio[0] < 0:
             raise _reject(what, label, f"has a negative entry {entry}")
-    total = sum(entries, Fraction(0))
-    if total != 1:
-        raise _reject(what, label, f"sums to {total}, expected 1")
+        ratios.append(ratio)
+    scale = lcm(*[d for _, d in ratios])
+    ints = [n * (scale // d) for n, d in ratios]
+    total = sum(ints)
+    if total != scale:
+        raise _reject(what, label, f"sums to {Fraction(total, scale)}, expected 1")
+    return ints, scale
 
 
 def _check_table(
@@ -195,6 +205,12 @@ class Prior:
     def __post_init__(self) -> None:
         _check_distribution(self.weights, len(self.weights), "prior")
 
+    @cached_property
+    def _integer_weights(self) -> tuple[tuple[int, ...], int]:
+        """The weights times ``scale``, the LCM of their denominators, as ints; and ``scale``."""
+        weights, scale = _clear_denominators(self.weights)
+        return tuple(weights), scale
+
     @property
     def full_support(self) -> bool:
         return all(entry > 0 for entry in self.weights)
@@ -216,6 +232,8 @@ def prior(weights: Sequence[RationalLike]) -> Prior:
 
 
 def uniform_prior(n_states: int) -> Prior:
+    if not _is_count(n_states):
+        raise InvalidInput(f"the number of states must be an int, got {n_states!r}")
     if n_states < 1:
         raise InvalidInput("a prior needs at least one state")
     return Prior(weights=tuple(Fraction(1, n_states) for _ in range(n_states)))

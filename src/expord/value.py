@@ -13,13 +13,16 @@ complete: when the order fails at size beta, an explicitly violating
 decision problem can be constructed from the dual of a Blackwell
 feasibility LP on the diluted experiment.
 
-The value and the bound run on integers.  :func:`value` scales the prior
-and the likelihood matrix once per call, forms each signal's joint measure
-in ints, and scores it against the problem's integer payoff table;
+The value and the bound run on integers.  One scoring kernel forms each
+signal's joint measure in ints, from the prior and the likelihood matrix
+each scaled once per object, and scores it against the problem's integer
+payoff table.  :func:`value` wraps the kernel with the policy it chose;
+:func:`value_null` and :func:`verify_bound` read only the score.
 :func:`verify_bound` puts the three values and beta over one denominator,
 so its slack is one integer whose sign is the verdict.  Each result is a
-single exact Fraction, and :class:`BoundReport` re-checks the slack in
-Fractions on construction.
+single exact Fraction, and :class:`BoundReport` re-checks the slack on
+construction by an integer cross-multiplication arranged differently from
+the one that computed it.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .numerics import (
     InternalError,
     InvalidInput,
     RationalLike,
-    _clear_denominators,
     as_rational,
 )
 from .order import GarblingCertificate, blackwell_farkas, verify_certificate
@@ -108,6 +110,27 @@ def _plan_payoff(
     )
 
 
+def _score(
+    problem: DecisionProblem, columns: tuple[tuple[int, ...], ...], scale: int
+) -> tuple[int, int, list[int]]:
+    """The optimal plan's integer score, its denominator and its actions.
+
+    ``columns`` are the likelihood columns times the positive int ``scale``.
+    Each signal plays the best response to the prior times its column, ties
+    broken toward the lowest action index, and the score is the sum of those
+    best responses in units of one over the positive denominator returned.
+    """
+    weights, prior_scale = problem.prior._integer_weights
+    argmax = problem._argmax
+    total = 0
+    chosen: list[int] = []
+    for column in columns:
+        score, action = argmax(list(map(mul, weights, column)))
+        total += score
+        chosen.append(action)
+    return total, problem.payoff_scale * prior_scale * scale, chosen
+
+
 def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, PolicyTable]:
     """Optimal expected payoff and an optimal deterministic policy.
 
@@ -117,30 +140,36 @@ def value(problem: DecisionProblem, experiment: Experiment) -> tuple[Fraction, P
     the total are ints; one Fraction is built at the end.
     """
     _check_compatible(problem, experiment)
-    weights, prior_scale = _clear_denominators(problem.prior.weights)
-    columns, matrix_scale = experiment._integer_columns
-    total = 0
-    chosen: list[int] = []
-    for column in columns:
-        score, action = problem._argmax(list(map(mul, weights, column)))
-        total += score
-        chosen.append(action)
+    total, denominator, chosen = _score(problem, *experiment._integer_columns)
     policy = PolicyTable(
         signals=experiment.signals,
         actions=tuple(problem.actions[a] for a in chosen),
         indices=tuple(chosen),
     )
-    return Fraction(total, problem.payoff_scale * prior_scale * matrix_scale), policy
+    return Fraction(total, denominator), policy
 
 
 def value_null(problem: DecisionProblem) -> Fraction:
     """Value of acting on the prior alone."""
-    return problem.best_response(problem.prior.weights)[0]
+    total, denominator, _ = _score(problem, ((1,) * problem.n_states,), 1)
+    return Fraction(total, denominator)
+
+
+_REPORT_NUMBERS = ("value_prime", "value_pi", "value_noinfo", "beta", "slack")
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both sides of the size-beta payoff guarantee, evaluated exactly."""
+    """Both sides of the size-beta payoff guarantee, evaluated exactly.
+
+    ``slack`` is V(P') - [(1/beta) V(P) + (1 - 1/beta) V(null)] and
+    ``holds`` says whether it is nonnegative.  Construction refuses a
+    numeric field that is not a Fraction, a beta below 1, a slack that is
+    not the difference of the two sides, and a ``holds`` that is not the
+    slack's sign.  The slack is re-checked over integers, through the
+    rearranged identity (V(P') - slack - V(null)) beta = V(P) - V(null)
+    cross-multiplied by the positive denominators.
+    """
 
     value_prime: Fraction
     value_pi: Fraction
@@ -150,10 +179,24 @@ class BoundReport:
     holds: bool
 
     def __post_init__(self) -> None:
-        rhs = self.value_pi / self.beta + (1 - 1 / self.beta) * self.value_noinfo
-        if self.slack != self.value_prime - rhs:
+        numbers = (self.value_prime, self.value_pi, self.value_noinfo, self.beta, self.slack)
+        for name, number in zip(_REPORT_NUMBERS, numbers):
+            if not isinstance(number, Fraction):
+                raise InvalidInput(f"{name} must be a Fraction, got {number!r}")
+        if type(self.holds) is not bool:
+            raise InvalidInput(f"holds must be a bool, got {self.holds!r}")
+        b, c = self.beta.numerator, self.beta.denominator
+        if b < c:
+            raise InvalidInput(f"the bound is defined for beta >= 1, got {self.beta}")
+        p1, q1 = self.value_prime.numerator, self.value_prime.denominator
+        p2, q2 = self.value_pi.numerator, self.value_pi.denominator
+        p3, q3 = self.value_noinfo.numerator, self.value_noinfo.denominator
+        ps, qs = self.slack.numerator, self.slack.denominator
+        if (p1 * qs * q3 - ps * q1 * q3 - p3 * q1 * qs) * b * q2 != (
+            p2 * q3 - p3 * q2
+        ) * c * q1 * qs:
             raise InvalidInput("slack is not the difference of the two sides")
-        if self.holds != (self.slack >= 0):
+        if self.holds != (ps >= 0):
             raise InvalidInput("holds flag contradicts the slack sign")
 
 
@@ -168,20 +211,19 @@ def verify_bound(
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
     _require_shared_states(pi, pi_prime)
-    value_prime, _ = value(problem, pi_prime)
-    value_pi, _ = value(problem, pi)
+    _check_compatible(problem, pi_prime)
+    s1, q1, _ = _score(problem, *pi_prime._integer_columns)
+    s2, q2, _ = _score(problem, *pi._integer_columns)
     base = value_null(problem)
-    # With beta = b/c, V(P') = p1/q1, V(P) = p2/q2 and V(null) = p3/q3, the
+    s3, q3 = base.numerator, base.denominator
+    # With beta = b/c, V(P') = s1/q1, V(P) = s2/q2 and V(null) = s3/q3, the
     # slack is one integer over the positive denominator b q1 q2 q3, so its
     # sign is the numerator's.
     b, c = scale.numerator, scale.denominator
-    p1, q1 = value_prime.numerator, value_prime.denominator
-    p2, q2 = value_pi.numerator, value_pi.denominator
-    p3, q3 = base.numerator, base.denominator
-    numerator = b * p1 * q2 * q3 - c * p2 * q1 * q3 - (b - c) * p3 * q1 * q2
+    numerator = b * s1 * q2 * q3 - c * s2 * q1 * q3 - (b - c) * s3 * q1 * q2
     return BoundReport(
-        value_prime=value_prime,
-        value_pi=value_pi,
+        value_prime=Fraction(s1, q1),
+        value_pi=Fraction(s2, q2),
         value_noinfo=base,
         beta=scale,
         slack=Fraction(numerator, b * q1 * q2 * q3),

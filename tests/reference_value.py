@@ -8,8 +8,13 @@ the same total and policy.  The last two are the state-by-state sums
 ``expord.value.policy_payoff`` and ``expord.value.mixed_strategy_payoff``
 made before both passed their plans to one plan-payoff kernel; they take
 inputs those functions have already validated, and the sums are exact, so
-they must return the same Fraction.  ``tests/test_value.py`` compares them.
-Every number here is a ``fractions.Fraction``.
+they must return the same Fraction.  ``reference_verify_bound`` is
+``expord.value.verify_bound`` as it was before it scored both experiments
+and the prior in one integer pass, with the two loops above in place of
+``value`` and ``value_null``, and ``reference_report_consistent`` is the
+Fraction predicate ``BoundReport`` checked before it moved to integers.
+``tests/test_value.py`` compares them.  Every number here is a
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from expord.experiments import DecisionProblem, Experiment
-from expord.numerics import InvalidInput
+from expord.experiments import DecisionProblem, Experiment, _require_shared_states
+from expord.numerics import InvalidInput, RationalLike, as_rational
 from expord.order import GarblingCertificate
-from expord.value import PolicyTable
+from expord.value import BoundReport, PolicyTable
 
 
 def reference_best_response(
@@ -110,3 +115,45 @@ def reference_mixed_strategy_payoff(
                 action = residual_policy.indices[j]
                 total += mass * fallback * problem.payoffs[action][t]
     return total
+
+
+def reference_verify_bound(
+    problem: DecisionProblem,
+    pi: Experiment,
+    pi_prime: Experiment,
+    beta: RationalLike,
+) -> BoundReport:
+    """V(P') - [(1/beta) V(P) + (1 - 1/beta) V(null)] from three Fraction values."""
+    scale = as_rational(beta)
+    if scale < 1:
+        raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
+    _require_shared_states(pi, pi_prime)
+    value_prime, _ = reference_value(problem, pi_prime)
+    value_pi, _ = reference_value(problem, pi)
+    base, _ = reference_best_response(problem, problem.prior.weights)
+    b, c = scale.numerator, scale.denominator
+    p1, q1 = value_prime.numerator, value_prime.denominator
+    p2, q2 = value_pi.numerator, value_pi.denominator
+    p3, q3 = base.numerator, base.denominator
+    numerator = b * p1 * q2 * q3 - c * p2 * q1 * q3 - (b - c) * p3 * q1 * q2
+    return BoundReport(
+        value_prime=value_prime,
+        value_pi=value_pi,
+        value_noinfo=base,
+        beta=scale,
+        slack=Fraction(numerator, b * q1 * q2 * q3),
+        holds=numerator >= 0,
+    )
+
+
+def reference_report_consistent(
+    value_prime: Fraction,
+    value_pi: Fraction,
+    value_noinfo: Fraction,
+    beta: Fraction,
+    slack: Fraction,
+    holds: bool,
+) -> bool:
+    """Is ``slack`` the difference of the two sides, and ``holds`` its sign?"""
+    rhs = value_pi / beta + (1 - 1 / beta) * value_noinfo
+    return slack == value_prime - rhs and holds == (slack >= 0)

@@ -1,5 +1,6 @@
 """Posterior geometry: Bayes atoms, hulls, and coupling certificates."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from expord import (
     uniform_prior,
     verify_coupling,
 )
+import reference_experiments
 from expord.generators import (
     binary_symmetric,
     perfect_experiment,
@@ -106,6 +108,19 @@ class TestPosteriors:
                     for k, (belief, p) in enumerate(atoms)
                 ),
             )
+
+    def test_a_list_belief_is_refused(self):
+        with pytest.raises(InvalidInput):
+            PosteriorDistribution(
+                prior=UNIFORM,
+                atoms=(PosteriorAtom(signals=("s",), belief=[F(1, 2), F(1, 2)], probability=F(1)),),
+            )
+
+    @pytest.mark.parametrize("signals", [["s"], (), ("s", "s"), ("",), (1,)],
+                             ids=["list", "empty", "duplicate", "empty label", "int label"])
+    def test_atom_signals_are_a_label_tuple(self, signals):
+        with pytest.raises(InvalidInput):
+            PosteriorAtom(signals=signals, belief=(F(1, 2), F(1, 2)), probability=F(1))
 
 
 class TestHullMembership:
@@ -282,3 +297,67 @@ def test_martingale_on_random_instances(seed):
     for t in range(e.n_states):
         moment = sum((a.probability * a.belief[t] for a in dist.atoms), F(0))
         assert moment == mu.weights[t]
+
+
+def _spoiled_atoms(rng, atoms):
+    """The atoms with one defect, or none, for the differential test below."""
+    atoms = list(atoms)
+    k = rng.randrange(len(atoms))
+    atom = atoms[k]
+    belief = list(atom.belief)
+    kind = rng.randrange(9)
+    if kind == 1 and len(atoms) > 1:
+        del atoms[k]
+    elif kind == 2:
+        atoms.append(PosteriorAtom(("extra",), atom.belief, atom.probability))
+    elif kind == 3:
+        atoms[k] = PosteriorAtom(atom.signals, atom.belief, atom.probability * 2)
+    elif kind == 4 and len(atoms) > 1:
+        # Zero one atom's probability and give its mass to the next atom.
+        j = (k + 1) % len(atoms)
+        other = atoms[j]
+        atoms[j] = PosteriorAtom(other.signals, other.belief, other.probability + atom.probability)
+        atoms[k] = PosteriorAtom(atom.signals, atom.belief, F(0))
+    elif kind == 5 and len(belief) > 1:
+        shift = F(1, rng.randint(1, 30))
+        belief[0] += shift
+        belief[1] -= shift
+        atoms[k] = PosteriorAtom(atom.signals, tuple(belief), atom.probability)
+    elif kind == 6:
+        atoms[k] = PosteriorAtom(atom.signals, tuple(belief[:-1]), atom.probability)
+    elif kind == 7:
+        belief[rng.randrange(len(belief))] = rng.choice([0.5, 1, "1/2"])
+        atoms[k] = PosteriorAtom(atom.signals, tuple(belief), atom.probability)
+    elif kind == 8 and len(atoms) > 1:
+        other = atoms[(k + 1) % len(atoms)]
+        atoms[k] = PosteriorAtom(atom.signals, other.belief, atom.probability)
+    return tuple(atoms)
+
+
+def test_posterior_checks_match_the_fraction_reference():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(1500):
+        n_states = rng.randint(1, 4)
+        mu = random_prior(rng, n_states)
+        experiment = random_experiment(rng, n_states, rng.randint(1, 5))
+        atoms = _spoiled_atoms(rng, posteriors(experiment, mu).atoms)
+        if rng.random() < 0.2:
+            mu = random_prior(rng, n_states)
+        expected = reference_experiments.posterior_problem(mu, atoms)
+        outcomes.add(expected and " ".join(expected.split()[:3]))
+        if expected is None:
+            assert PosteriorDistribution(prior=mu, atoms=atoms).atoms == atoms
+        else:
+            with pytest.raises(InvalidInput) as caught:
+                PosteriorDistribution(prior=mu, atoms=atoms)
+            assert str(caught.value) == expected
+    assert outcomes == {
+        None,
+        "atom probability vector",
+        "zero-probability atoms must",
+        "atom belief has",
+        "atom belief entries",
+        "atoms with equal",
+        "martingale property fails:",
+    }

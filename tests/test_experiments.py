@@ -33,7 +33,7 @@ from expord import (
     validate_experiment,
     weight_check,
 )
-from expord.experiments import check_belief
+from expord.experiments import _check_distribution, check_belief
 
 import reference_experiments
 from expord.generators import (
@@ -90,6 +90,11 @@ class TestPrior:
     def test_rejects_bad_total(self):
         with pytest.raises(InvalidInput):
             prior(["1/2", "1/3"])
+
+    @pytest.mark.parametrize("count", [True, (2,), 2.0, "2", 0])
+    def test_uniform_prior_needs_a_positive_int(self, count):
+        with pytest.raises(InvalidInput):
+            uniform_prior(count)
 
 
 class TestWeights:
@@ -501,3 +506,42 @@ def test_dilute_rows_rescale_exactly(seed, beta):
 def test_uninformative_rows_identical():
     e = uninformative_experiment(3)
     assert len(set(e.matrix)) == 1
+
+
+# Probability-vector candidates: exact ones, ones a little off the simplex,
+# negative entries, and stray types among Fractions.
+_entries = st.one_of(
+    st.builds(Fraction, st.integers(-2, 12), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(0, 10**20), st.integers(1, 10**20)),
+    st.sampled_from([0, 1, 0.5, "1/2", None]),
+)
+
+
+@st.composite
+def _vectors(draw):
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.lists(st.builds(Fraction, st.integers(0, 60), st.just(60)),
+                                    min_size=0, max_size=4)))
+        points = [Fraction(0), *cuts, Fraction(1)]
+        vector = [b - a for a, b in zip(points, points[1:])]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(vector) - 1))
+            vector[k] = draw(_entries)
+        return vector
+    return draw(st.lists(_entries, min_size=0, max_size=5))
+
+
+class TestDistributionCheckAgainstFractions:
+    @settings(max_examples=600, deadline=None)
+    @given(vector=_vectors(), extra=st.integers(-1, 1))
+    def test_same_verdict_and_message(self, vector, extra):
+        length = len(vector) + extra
+        expected = reference_experiments.check_distribution(vector, length, "row for state", "t0")
+        if expected is None:
+            ints, scale = _check_distribution(vector, length, "row for state", "t0")
+            assert [Fraction(n, scale) for n in ints] == vector
+            assert sum(ints) == scale
+        else:
+            with pytest.raises(InvalidInput) as caught:
+                _check_distribution(vector, length, "row for state", "t0")
+            assert str(caught.value) == expected

@@ -91,6 +91,11 @@ class TestDocumentRoundTrips:
         with pytest.raises(InvalidInput):
             docs.parse_document({"kind": "mystery"})
 
+    @pytest.mark.parametrize("kind", [[], {}, ["experiment"]])
+    def test_unhashable_kind_rejected(self, kind):
+        with pytest.raises(InvalidInput, match="unknown document kind"):
+            docs.parse_document({"kind": kind})
+
 
 class TestDocumentValidation:
     def _cert_doc(self):

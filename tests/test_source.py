@@ -1,8 +1,12 @@
-"""Source hygiene: no module under ``src/expord`` imports a name it never uses.
+"""Source hygiene for the modules under ``src/expord``.
 
-``__init__.py`` is skipped because its imports are the package's exports,
-and so are ``__future__`` imports, which are compiler directives.  A name
-counts as used when it appears anywhere in the module's code.
+No module imports a name it never uses.  ``__init__.py`` is skipped there
+because its imports are the package's exports, and so are ``__future__``
+imports, which are compiler directives.  A name counts as used when it
+appears anywhere in the module's code.
+
+No module contains an ``assert`` statement: ``python -O`` strips them, and
+every self-check in the library must still run under it.
 """
 
 import ast
@@ -13,7 +17,8 @@ import pytest
 import expord
 
 PACKAGE = Path(expord.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -38,3 +43,10 @@ def test_every_imported_name_is_used(path):
     used = _referenced(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} has assert statements at lines {lines}"

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from expord import (
+    BoundReport,
     DecisionProblem,
     Experiment,
     InvalidInput,
@@ -38,7 +39,9 @@ from reference_value import (
     reference_best_response,
     reference_mixed_strategy_payoff,
     reference_policy_payoff,
+    reference_report_consistent,
     reference_value,
+    reference_verify_bound,
 )
 
 F = Fraction
@@ -131,6 +134,40 @@ class TestVerifyBound:
     def test_beta_below_one_rejected(self):
         with pytest.raises(InvalidInput):
             verify_bound(MATCHING, binary_symmetric("3/5"), binary_symmetric("3/5"), "1/2")
+
+
+_TIGHT = dict(
+    value_prime=F(7, 10), value_pi=F(4, 5), value_noinfo=F(1, 2), beta=F(3, 2),
+    slack=F(0), holds=True,
+)
+
+
+class TestBoundReportFields:
+    def test_consistent_report_builds(self):
+        assert BoundReport(**_TIGHT).holds
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"beta": F(0)},
+            {"beta": F(1, 2)},
+            {"beta": F(-3, 2)},
+            {"value_prime": 0.5},
+            {"beta": 1.5},
+            {"slack": 0},
+            {"value_noinfo": "1/2"},
+            {"holds": 1},
+            {"slack": F(1, 100)},
+            {"slack": F(-1, 100)},
+            {"holds": False},
+        ],
+        ids=["beta 0", "beta 1/2", "beta -3/2", "float value", "float beta",
+             "int slack", "string value", "int holds", "slack too high", "slack too low",
+             "holds flipped"],
+    )
+    def test_rejects_an_inconsistent_report(self, changes):
+        with pytest.raises(InvalidInput):
+            BoundReport(**{**_TIGHT, **changes})
 
 
 class TestFalsifyBound:
@@ -431,3 +468,115 @@ class TestDerivedFieldsInvisible:
     def test_best_response_checks_the_dimension(self, measure):
         with pytest.raises(InvalidInput):
             MATCHING.best_response(measure)
+
+
+ACCEPTANCE_SEED = 20250814
+
+
+def _value_universe():
+    """Each ordered pair among the first 120 corpus pairs, at its minimal size,
+    with the 48 decision problems the value-bounds workload draws from."""
+    for index, (pi, _prior, pi_prime) in enumerate(corpus_pairs(ACCEPTANCE_SEED, 120)):
+        sized = min_size(pi, pi_prime)
+        if sized is None:
+            continue
+        for k in range(48):
+            problem = random_decision_problem(
+                ACCEPTANCE_SEED + 200 * index + k, 2 + k % 3, pi.n_states
+            )
+            yield problem, pi, pi_prime, sized[0]
+
+
+@pytest.fixture(scope="module")
+def value_universe():
+    return list(_value_universe())
+
+
+_betas = st.one_of(
+    st.just(F(1)),
+    st.builds(lambda n, d: 1 + F(n, d), st.integers(1, 10**6), st.integers(2, 10**6))
+    .filter(lambda b: b.denominator > 1),
+)
+
+
+def _flipped(report, term):
+    """The slack with one term of verify_bound's numerator negated."""
+    b, c = report.beta.numerator, report.beta.denominator
+    p1, q1 = report.value_prime.numerator, report.value_prime.denominator
+    p2, q2 = report.value_pi.numerator, report.value_pi.denominator
+    p3, q3 = report.value_noinfo.numerator, report.value_noinfo.denominator
+    terms = [b * p1 * q2 * q3, -c * p2 * q1 * q3, -(b - c) * p3 * q1 * q2]
+    if terms[term] == 0:
+        return None
+    terms[term] = -terms[term]
+    return F(sum(terms), b * q1 * q2 * q3)
+
+
+class TestBoundAgainstFractionReference:
+    """verify_bound's one integer pass against the Fraction body it replaced."""
+
+    def test_value_bounds_universe(self, value_universe):
+        assert len(value_universe) > 3000
+        for args in value_universe:
+            report = verify_bound(*args)
+            assert report == reference_verify_bound(*args)
+            assert report.holds
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_states=st.integers(1, 4), beta=_betas)
+    def test_random_problems_and_experiments(self, data, n_states, beta):
+        problem = data.draw(_problems(n_states))
+        pi = data.draw(_experiments(n_states))
+        pi_prime = data.draw(_experiments(n_states))
+        assert verify_bound(problem, pi, pi_prime, beta) == reference_verify_bound(
+            problem, pi, pi_prime, beta
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(_rationals, min_size=3, max_size=3),
+        beta=_betas,
+        shift=st.one_of(
+            st.just(F(0)),
+            st.sampled_from([F(1), F(-1)]),
+            st.builds(F, st.integers(-3, 3), st.integers(1, 10**30)),
+        ),
+        nudge=st.sampled_from(["none", "numerator", "denominator"]),
+        flag=st.booleans(),
+    )
+    def test_post_init_accepts_exactly_the_fraction_predicate(
+        self, values, beta, shift, nudge, flag
+    ):
+        value_prime, value_pi, value_noinfo = values
+        slack = value_prime - (value_pi / beta + (1 - 1 / beta) * value_noinfo) + shift
+        if nudge == "numerator":
+            slack = F(slack.numerator + 1, slack.denominator)
+        elif nudge == "denominator":
+            slack = F(slack.numerator, slack.denominator + 1)
+        holds = (slack >= 0) if flag else (slack < 0)
+        fields = (value_prime, value_pi, value_noinfo, beta, slack, holds)
+        if reference_report_consistent(*fields):
+            assert BoundReport(*fields).slack == slack
+        else:
+            with pytest.raises(InvalidInput):
+                BoundReport(*fields)
+
+    def test_a_flipped_sign_in_the_numerator_is_caught(self, value_universe):
+        flips = 0
+        for args in value_universe[::7]:
+            report = verify_bound(*args)
+            for term in range(3):
+                slack = _flipped(report, term)
+                if slack is None:
+                    continue
+                flips += 1
+                with pytest.raises(InvalidInput, match="slack is not the difference"):
+                    BoundReport(
+                        value_prime=report.value_prime,
+                        value_pi=report.value_pi,
+                        value_noinfo=report.value_noinfo,
+                        beta=report.beta,
+                        slack=slack,
+                        holds=slack >= 0,
+                    )
+        assert flips > 500
