@@ -1,7 +1,8 @@
 """Command-line surface binding the library into a certified comparison tool.
 
-Commands read UTF-8 JSON documents whose numbers are exact rational strings
-and write a single JSON document to stdout.  Exit codes follow one contract
+Commands read UTF-8 JSON documents whose numbers are exact rational strings.
+Each handler returns its exit code and one JSON document, and :func:`run`
+prints that document, the only write to stdout.  Exit codes follow one contract
 everywhere: 0 means the queried relation holds or the computation succeeded,
 1 means the relation was certified false, 2 means the input was invalid, and
 3 means one of the library's own certificate checks failed (a defect in
@@ -62,10 +63,6 @@ from .order import (
 from .value import random_decision_problem, falsify_bound, value, verify_bound
 
 
-def _emit(doc: dict) -> None:
-    print(docs.dump_document(doc))
-
-
 def _report(command: str, **fields) -> dict:
     doc = {"kind": "report", "command": command}
     doc.update(fields)
@@ -83,28 +80,25 @@ def _parse_prior(text: str) -> Prior:
     return Prior(weights=_parse_vector(text, "prior"))
 
 
-def _load(filename: str, expected: type, kind: str):
+_KINDS = {
+    Experiment: "experiment",
+    MarkovChain: "chain",
+    DecisionProblem: "decision_problem",
+    GarblingCertificate: "certificate",
+    ConditionalExperiment: "conditional_experiment",
+}
+
+
+def _load(filename: str, expected: type):
     loaded = docs.load_document(filename)
     if not isinstance(loaded, expected):
-        raise InvalidInput(f"{filename}: expected a {kind} document")
+        raise InvalidInput(f"{filename}: expected a {_KINDS[expected]} document")
     return loaded
 
 
-def _load_experiment(filename: str) -> Experiment:
-    return _load(filename, Experiment, "experiment")
-
-
-def _load_chain(filename: str) -> MarkovChain:
-    return _load(filename, MarkovChain, "chain")
-
-
-def _load_problem(filename: str) -> DecisionProblem:
-    return _load(filename, DecisionProblem, "decision_problem")
-
-
-def _cmd_check(args) -> int:
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_check(args) -> tuple[int, dict]:
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     if args.relation == "blackwell":
         certificate = check_blackwell(pi, pi_prime)
     else:
@@ -114,274 +108,225 @@ def _cmd_check(args) -> int:
         note = f"no {args.relation} garbling certificate exists"
         if args.relation == "weighted" and args.beta is not None:
             note += f" of size at most {args.beta}"
-        _emit(_report("check", relation=args.relation, holds=False, note=note))
-        return 1
-    _emit(docs.certificate_to_doc(certificate))
-    return 0
+        return 1, _report("check", relation=args.relation, holds=False, note=note)
+    return 0, docs.certificate_to_doc(certificate)
 
 
-def _cmd_size_interval(args) -> int:
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_size_interval(args) -> tuple[int, dict]:
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     interval = size_interval(pi, pi_prime)
     if interval is None:
-        _emit(
-            _report(
-                "size-interval",
-                holds=False,
-                note="the pair is not weighted-garbling ordered",
-            )
-        )
-        return 1
-    _emit(
-        _report(
+        return 1, _report(
             "size-interval",
-            holds=True,
-            beta_min=str(interval.beta_min),
-            beta_max=(
-                "unbounded"
-                if interval.beta_max is None
-                else str(interval.beta_max)
-            ),
-            witness_min=docs.certificate_to_doc(interval.witness_min),
-            witness_max=(
-                None
-                if interval.witness_max is None
-                else docs.certificate_to_doc(interval.witness_max)
-            ),
-            dual_min=[str(v) for v in interval.dual_min],
-            dual_max=(
-                None if interval.dual_max is None else [str(v) for v in interval.dual_max]
-            ),
+            holds=False,
+            note="the pair is not weighted-garbling ordered",
         )
+    return 0, _report(
+        "size-interval",
+        holds=True,
+        beta_min=str(interval.beta_min),
+        beta_max=(
+            "unbounded"
+            if interval.beta_max is None
+            else str(interval.beta_max)
+        ),
+        witness_min=docs.certificate_to_doc(interval.witness_min),
+        witness_max=(
+            None
+            if interval.witness_max is None
+            else docs.certificate_to_doc(interval.witness_max)
+        ),
+        dual_min=[str(v) for v in interval.dual_min],
+        dual_max=(
+            None
+            if interval.dual_max is None
+            else [[str(v) for v in dual] for dual in interval.dual_max]
+        ),
     )
-    return 0
 
 
-def _cmd_compose(args) -> int:
-    inner = _load(args.inner, GarblingCertificate, "certificate")
-    outer = _load(args.outer, GarblingCertificate, "certificate")
-    _emit(docs.certificate_to_doc(compose(inner, outer)))
-    return 0
+def _cmd_compose(args) -> tuple[int, dict]:
+    inner = _load(args.inner, GarblingCertificate)
+    outer = _load(args.outer, GarblingCertificate)
+    return 0, docs.certificate_to_doc(compose(inner, outer))
 
 
-def _cmd_conditional(args) -> int:
+def _cmd_conditional(args) -> tuple[int, dict]:
     if args.direction == "to":
-        certificate = _load(args.certificate, GarblingCertificate, "certificate")
+        certificate = _load(args.certificate, GarblingCertificate)
         conditional = to_conditional(certificate.pi_prime, certificate.weight())
-        _emit(docs.conditional_to_doc(conditional))
-        return 0
-    conditional = _load(args.conditional, ConditionalExperiment, "conditional_experiment")
-    pi = _load_experiment(args.pi)
+        return 0, docs.conditional_to_doc(conditional)
+    conditional = _load(args.conditional, ConditionalExperiment)
+    pi = _load(args.pi, Experiment)
     try:
         certificate = from_conditional(conditional, pi)
     except OrderError as error:
-        _emit(_report("conditional", direction="from", holds=False, note=str(error)))
-        return 1
-    _emit(docs.certificate_to_doc(certificate))
-    return 0
+        return 1, _report("conditional", direction="from", holds=False, note=str(error))
+    return 0, docs.certificate_to_doc(certificate)
 
 
-def _cmd_posteriors(args) -> int:
-    experiment = _load_experiment(args.experiment)
+def _cmd_posteriors(args) -> tuple[int, dict]:
+    experiment = _load(args.experiment, Experiment)
     mu0 = _parse_prior(args.prior)
     distribution = posteriors(experiment, mu0)
-    _emit(
-        _report(
-            "posteriors",
-            prior=[str(w) for w in mu0.weights],
-            states=list(experiment.states),
-            atoms=[docs.atom_to_doc(atom) for atom in distribution.atoms],
-        )
+    return 0, _report(
+        "posteriors",
+        prior=[str(w) for w in mu0.weights],
+        states=list(experiment.states),
+        atoms=[docs.atom_to_doc(atom) for atom in distribution.atoms],
     )
-    return 0
 
 
-def _cmd_hull_check(args) -> int:
+def _cmd_hull_check(args) -> tuple[int, dict]:
     point = _parse_vector(args.point, "point")
     generators_arg = [
         _parse_vector(part, "generators") for part in args.generators.split(";")
     ]
     decision = hull_decide(point, generators_arg)
     if not isinstance(decision, HullMembershipCertificate):
-        _emit(
-            _report(
-                "hull-check",
-                holds=False,
-                separating_functional=[str(h) for h in decision],
-                note="the point lies outside the hull; the functional is "
-                "nonpositive on every generator and positive at the point",
-            )
-        )
-        return 1
-    _emit(
-        _report(
+        return 1, _report(
             "hull-check",
-            holds=True,
-            coefficients=[str(c) for c in decision.coefficients],
+            holds=False,
+            separating_functional=[str(h) for h in decision],
+            note="the point lies outside the hull; the functional is "
+            "nonpositive on every generator and positive at the point",
         )
+    return 0, _report(
+        "hull-check",
+        holds=True,
+        coefficients=[str(c) for c in decision.coefficients],
     )
-    return 0
 
 
-def _cmd_beliefs_check(args) -> int:
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_beliefs_check(args) -> tuple[int, dict]:
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     mu0 = _parse_prior(args.prior)
     coupling = check_weighted_beliefs(pi, pi_prime, mu0)
     if coupling is None:
-        _emit(
-            _report(
-                "beliefs-check",
-                holds=False,
-                note="some posterior of the first experiment lies outside the "
-                "posterior hull of the second",
-            )
+        return 1, _report(
+            "beliefs-check",
+            holds=False,
+            note="some posterior of the first experiment lies outside the "
+            "posterior hull of the second",
         )
-        return 1
     if not verify_coupling(coupling, pi, pi_prime, mu0):
         raise InternalError("emitted couplings must re-verify")
-    _emit(docs.coupling_to_doc(coupling))
-    return 0
+    return 0, docs.coupling_to_doc(coupling)
 
 
-def _cmd_value(args) -> int:
-    problem = _load_problem(args.problem)
-    experiment = _load_experiment(args.experiment)
+def _cmd_value(args) -> tuple[int, dict]:
+    problem = _load(args.problem, DecisionProblem)
+    experiment = _load(args.experiment, Experiment)
     total, table = value(problem, experiment)
-    _emit(
-        _report(
-            "value",
-            value=str(total),
-            policy=dict(zip(table.signals, table.actions)),
-        )
+    return 0, _report(
+        "value",
+        value=str(total),
+        policy=dict(zip(table.signals, table.actions)),
     )
-    return 0
 
 
-def _cmd_bound_verify(args) -> int:
-    problem = _load_problem(args.problem)
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_bound_verify(args) -> tuple[int, dict]:
+    problem = _load(args.problem, DecisionProblem)
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     report = verify_bound(problem, pi, pi_prime, parse_rational(args.beta))
-    _emit(
-        _report(
-            "bound-verify",
-            holds=report.holds,
-            beta=str(report.beta),
-            value_prime=str(report.value_prime),
-            value_pi=str(report.value_pi),
-            value_noinfo=str(report.value_noinfo),
-            slack=str(report.slack),
-        )
+    return (0 if report.holds else 1), _report(
+        "bound-verify",
+        holds=report.holds,
+        beta=str(report.beta),
+        value_prime=str(report.value_prime),
+        value_pi=str(report.value_pi),
+        value_noinfo=str(report.value_noinfo),
+        slack=str(report.slack),
     )
-    return 0 if report.holds else 1
 
 
-def _cmd_bound_falsify(args) -> int:
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_bound_falsify(args) -> tuple[int, dict]:
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     problem = falsify_bound(pi, pi_prime, parse_rational(args.beta))
     if problem is None:
-        _emit(
-            _report(
-                "bound-falsify",
-                holds=True,
-                note="the size bound holds for every decision problem at this beta",
-            )
+        return 0, _report(
+            "bound-falsify",
+            holds=True,
+            note="the size bound holds for every decision problem at this beta",
         )
-        return 0
-    _emit(docs.decision_problem_to_doc(problem))
-    return 1
+    return 1, docs.decision_problem_to_doc(problem)
 
 
-def _cmd_dilute(args) -> int:
-    experiment = _load_experiment(args.experiment)
-    _emit(docs.experiment_to_doc(dilute(experiment, parse_rational(args.beta))))
-    return 0
+def _cmd_dilute(args) -> tuple[int, dict]:
+    experiment = _load(args.experiment, Experiment)
+    return 0, docs.experiment_to_doc(dilute(experiment, parse_rational(args.beta)))
 
 
-def _cmd_eta(args) -> int:
-    experiment = _load_experiment(args.experiment)
-    chain = _load_chain(args.chain)
+def _cmd_eta(args) -> tuple[int, dict]:
+    experiment = _load(args.experiment, Experiment)
+    chain = _load(args.chain, MarkovChain)
     result = eta_limit(
         chain, experiment, tol=parse_rational(args.tol), max_iter=args.max_iter
     )
-    _emit(
-        _report(
-            "eta",
-            iterations=result.iterations,
-            gap=str(result.gap),
-            converged=result.converged,
-            hull=docs.belief_list_doc(result.hull.points),
-        )
+    return 0, _report(
+        "eta",
+        iterations=result.iterations,
+        gap=str(result.gap),
+        converged=result.converged,
+        hull=docs.belief_list_doc(result.hull.points),
     )
-    return 0
 
 
-def _cmd_merge_horizon(args) -> int:
-    experiment = _load_experiment(args.experiment)
-    chain = _load_chain(args.chain)
+def _cmd_merge_horizon(args) -> tuple[int, dict]:
+    experiment = _load(args.experiment, Experiment)
+    chain = _load(args.chain, MarkovChain)
     report = merging_horizon(
         chain, experiment, epsilon=parse_rational(args.eps), n_max=args.nmax
     )
-    _emit(
-        _report(
-            "merge-horizon",
-            horizon=report.horizon,
-            profile=[str(g) for g in report.profile],
-            monotone=report.monotone,
-            epsilon=str(report.epsilon),
-            n_max=report.n_max,
-        )
+    return 0, _report(
+        "merge-horizon",
+        horizon=report.horizon,
+        profile=[str(g) for g in report.profile],
+        monotone=report.monotone,
+        epsilon=str(report.epsilon),
+        n_max=report.n_max,
     )
-    return 0
 
 
-def _cmd_stopping(args) -> int:
-    problem = _load_problem(args.problem)
-    experiment = _load_experiment(args.experiment)
-    chain = _load_chain(args.chain)
+def _cmd_stopping(args) -> tuple[int, dict]:
+    problem = _load(args.problem, DecisionProblem)
+    experiment = _load(args.experiment, Experiment)
+    chain = _load(args.chain, MarkovChain)
     stopping = StoppingProblem(problem=problem, chain=chain, horizon=args.horizon)
-    _emit(
-        _report(
-            "stopping",
-            horizon=args.horizon,
-            value=str(stopping_value(stopping, experiment)),
-        )
+    return 0, _report(
+        "stopping",
+        horizon=args.horizon,
+        value=str(stopping_value(stopping, experiment)),
     )
-    return 0
 
 
-def _cmd_counterexample(args) -> int:
-    pi = _load_experiment(args.pi)
-    pi_prime = _load_experiment(args.pi_prime)
+def _cmd_counterexample(args) -> tuple[int, dict]:
+    pi = _load(args.pi, Experiment)
+    pi_prime = _load(args.pi_prime, Experiment)
     mu = _parse_prior(args.prior)
     found = counterexample(pi, pi_prime, mu)
     if found is None:
-        _emit(
-            _report(
-                "counterexample",
-                found=False,
-                note="the weighted-garbling order holds, so no stopping "
-                "problem can separate the pair",
-            )
-        )
-        return 0
-    problem, chain, values = found
-    _emit(
-        _report(
+        return 0, _report(
             "counterexample",
-            found=True,
-            problem=docs.decision_problem_to_doc(problem),
-            chain=docs.chain_to_doc(chain),
-            values=[
-                {"horizon": horizon, "pi": str(better), "pi_prime": str(worse)}
-                for horizon, better, worse in values
-            ],
+            found=False,
+            note="the weighted-garbling order holds, so no stopping "
+            "problem can separate the pair",
         )
+    problem, chain, values = found
+    return 1, _report(
+        "counterexample",
+        found=True,
+        problem=docs.decision_problem_to_doc(problem),
+        chain=docs.chain_to_doc(chain),
+        values=[
+            {"horizon": horizon, "pi": str(better), "pi_prime": str(worse)}
+            for horizon, better, worse in values
+        ],
     )
-    return 1
 
 
 def _selftest_lps(rng: random.Random, count: int) -> tuple[bool, str]:
@@ -454,7 +399,7 @@ def _selftest_compose(seed: int, count: int) -> tuple[bool, str]:
     return True, f"{count} chains"
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> tuple[int, dict]:
     seed = args.seed
     checks = []
     ok, detail = _selftest_lps(random.Random(seed), 40)
@@ -464,8 +409,7 @@ def _cmd_selftest(args) -> int:
     ok, detail = _selftest_compose(seed + 2, 8)
     checks.append({"name": "composition", "ok": ok, "detail": detail})
     passed = all(c["ok"] for c in checks)
-    _emit(_report("selftest", seed=seed, ok=passed, checks=checks))
-    return 0 if passed else 1
+    return (0 if passed else 1), _report("selftest", seed=seed, ok=passed, checks=checks)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,11 +540,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as stop:
         return 0 if not stop.code else 2
     try:
-        return args.handler(args)
-    except InvalidInput as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+        code, doc = args.handler(args)
+        # Inside the try: an OSError writing stdout (a closed pipe) exits 2.
+        print(docs.dump_document(doc))
+        return code
+    except (InvalidInput, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except InternalError as error:

@@ -32,6 +32,12 @@ def _need(doc: Any, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _require_kind(doc: Any, kind: str, path: str) -> None:
+    found = _need(doc, "kind", path)
+    if found != kind:
+        raise _fail(f"{path}.kind", f"expected {kind!r}, got {found!r}")
+
+
 def _rational(value: Any, path: str) -> Fraction:
     if isinstance(value, str):
         try:
@@ -79,9 +85,7 @@ def experiment_to_doc(experiment: Experiment) -> dict:
 
 
 def experiment_from_doc(doc: Any, path: str = "experiment") -> Experiment:
-    kind = _need(doc, "kind", path)
-    if kind != "experiment":
-        raise _fail(f"{path}.kind", f"expected 'experiment', got {kind!r}")
+    _require_kind(doc, "experiment", path)
     return Experiment(
         states=_label_list(_need(doc, "states", path), f"{path}.states"),
         signals=_label_list(_need(doc, "signals", path), f"{path}.signals"),
@@ -107,9 +111,7 @@ def chain_to_doc(chain: MarkovChain) -> dict:
 
 
 def chain_from_doc(doc: Any, path: str = "chain") -> MarkovChain:
-    kind = _need(doc, "kind", path)
-    if kind != "chain":
-        raise _fail(f"{path}.kind", f"expected 'chain', got {kind!r}")
+    _require_kind(doc, "chain", path)
     return MarkovChain(
         states=_label_list(_need(doc, "states", path), f"{path}.states"),
         rows=_rational_matrix(_need(doc, "transition", path), f"{path}.transition"),
@@ -126,9 +128,7 @@ def decision_problem_to_doc(problem: DecisionProblem) -> dict:
 
 
 def decision_problem_from_doc(doc: Any, path: str = "decision_problem") -> DecisionProblem:
-    kind = _need(doc, "kind", path)
-    if kind != "decision_problem":
-        raise _fail(f"{path}.kind", f"expected 'decision_problem', got {kind!r}")
+    _require_kind(doc, "decision_problem", path)
     return DecisionProblem(
         actions=_label_list(_need(doc, "actions", path), f"{path}.actions"),
         payoffs=_rational_matrix(_need(doc, "payoffs", path), f"{path}.payoffs"),
@@ -153,9 +153,7 @@ def certificate_to_doc(certificate: GarblingCertificate) -> dict:
 
 
 def certificate_from_doc(doc: Any, path: str = "certificate") -> GarblingCertificate:
-    kind = _need(doc, "kind", path)
-    if kind != "certificate":
-        raise _fail(f"{path}.kind", f"expected 'certificate', got {kind!r}")
+    _require_kind(doc, "certificate", path)
     certificate = GarblingCertificate(
         pi=_embedded_experiment(doc, "pi", path),
         pi_prime=_embedded_experiment(doc, "pi_prime", path),
@@ -185,9 +183,7 @@ def conditional_to_doc(conditional: ConditionalExperiment) -> dict:
 
 
 def conditional_from_doc(doc: Any, path: str = "conditional_experiment") -> ConditionalExperiment:
-    kind = _need(doc, "kind", path)
-    if kind != "conditional_experiment":
-        raise _fail(f"{path}.kind", f"expected 'conditional_experiment', got {kind!r}")
+    _require_kind(doc, "conditional_experiment", path)
     return ConditionalExperiment(
         base=_embedded_experiment(doc, "base", path),
         event=_rational_matrix(_need(doc, "event", path), f"{path}.event"),
@@ -223,9 +219,7 @@ def coupling_to_doc(coupling: CouplingCertificate) -> dict:
 
 
 def coupling_from_doc(doc: Any, path: str = "coupling") -> CouplingCertificate:
-    kind = _need(doc, "kind", path)
-    if kind != "coupling":
-        raise _fail(f"{path}.kind", f"expected 'coupling', got {kind!r}")
+    _require_kind(doc, "coupling", path)
     atoms = _need(doc, "pi_atoms", path)
     prime_atoms = _need(doc, "pi_prime_atoms", path)
     if not isinstance(atoms, list) or not isinstance(prime_atoms, list):

@@ -19,7 +19,6 @@ exact comparisons against rational thresholds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -43,9 +42,6 @@ from .numerics import (
     linear_program,
     solve,
 )
-from .order import check_weighted
-
-Tolerance = Union[RationalLike, float]
 
 # Deepest signal history stopping_value and merging_horizon will expand.
 _MAX_DEPTH = 20
@@ -57,14 +53,9 @@ _MAX_DEPTH = 20
 _MAX_STEPS = 2 ** 20
 
 
-def as_tolerance(value: Tolerance) -> Fraction:
-    """Convert a tolerance to an exact threshold; floats convert exactly."""
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise InvalidInput("tolerance must be finite")
-        converted = Fraction(value)
-    else:
-        converted = as_rational(value)
+def as_tolerance(value: RationalLike) -> Fraction:
+    """Convert a tolerance to an exact, nonnegative threshold."""
+    converted = as_rational(value)
     if converted < 0:
         raise InvalidInput("tolerance must be nonnegative")
     return converted
@@ -299,7 +290,7 @@ class EtaResult:
 def eta_limit(
     chain: MarkovChain,
     experiment: Experiment,
-    tol: Tolerance = Fraction(1, 10 ** 6),
+    tol: RationalLike = Fraction(1, 10 ** 6),
     max_iter: int = 64,
 ) -> EtaResult:
     """Iterate eta_step from the full simplex until hulls stop moving.
@@ -331,7 +322,7 @@ def regular_prior_check(
     experiment: Experiment,
     mu0: Prior,
     hull: BeliefSet,
-    tol: Tolerance = Fraction(0),
+    tol: RationalLike = Fraction(0),
 ) -> bool:
     """Do all one-step updates of the prior land (near) the hull?
 
@@ -362,7 +353,7 @@ class MergingReport:
 def merging_horizon(
     chain: MarkovChain,
     experiment: Experiment,
-    epsilon: Tolerance,
+    epsilon: RationalLike,
     n_max: int = 12,
 ) -> MergingReport:
     """Smallest history length after which posteriors forget the start state.
@@ -496,8 +487,10 @@ def counterexample(
 ) -> tuple[DecisionProblem, MarkovChain, tuple[tuple[int, Fraction, Fraction], ...]] | None:
     """A stopping problem separating the pair dynamically, if any exists.
 
-    When the weighted-garbling order fails, some posterior of ``pi`` falls
-    outside the hull of the posteriors of ``pi_prime``.  The problem pairs
+    The weighted-garbling order holds exactly when every posterior of ``pi``
+    lies in the hull of the posteriors of ``pi_prime``, so one
+    :func:`~expord.beliefs.hull_decide` per posterior of ``pi`` decides it,
+    and None comes back when none lies outside.  The problem pairs
     a safe action worth a constant -1 with one action per outside
     posterior, canonically rescaled to vanish exactly there while staying
     at most -2 on the hull.  Under the i.i.d. chain with row ``mu``, every
@@ -511,8 +504,6 @@ def counterexample(
     _require_shared_states(pi, pi_prime)
     if not mu.full_support:
         raise InvalidInput("the construction needs a full-support prior")
-    if check_weighted(pi, pi_prime) is not None:
-        return None
     source = posteriors(pi, mu)
     generators = posteriors(pi_prime, mu).beliefs
     n = pi.n_states
@@ -535,7 +526,7 @@ def counterexample(
             tuple((h - witness_value) * 2 / margin for h in functional)
         )
     if len(payoffs) == 1:
-        raise InternalError("a failed order must leave some posterior outside")
+        return None
     peak = max(abs(entry) for row in payoffs for entry in row)
     if peak > 1:
         factor = Fraction(2)

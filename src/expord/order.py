@@ -313,10 +313,9 @@ class SizeInterval:
     ``dual_min`` is the verified dual of :func:`min_size`'s program, one
     multiplier per row of ``_psi_program``: the reproduction rows
     signal-major, then one column-sum row per signal of ``pi_prime``.
-    ``dual_max`` is the verified dual of the winning column maximization,
-    one multiplier per reproduction row; the winning column is the first
-    signal of ``pi_prime`` whose weight in ``witness_max`` is ``beta_max``.
-    It is None when ``beta_max`` is.
+    ``dual_max[j]`` is the verified dual of the maximization of column
+    ``j``'s sum, one multiplier per reproduction row; the largest of those
+    maxima is ``beta_max``.  ``dual_max`` is None when ``beta_max`` is.
     """
 
     beta_min: Fraction
@@ -324,7 +323,7 @@ class SizeInterval:
     witness_min: GarblingCertificate
     witness_max: GarblingCertificate | None
     dual_min: tuple[Fraction, ...]
-    dual_max: tuple[Fraction, ...] | None
+    dual_max: tuple[tuple[Fraction, ...], ...] | None
 
     @property
     def unbounded(self) -> bool:
@@ -345,7 +344,7 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     lowest, witness_min = base
     beta_min = lowest.objective
     n_vars = pi.n_signals * pi_prime.n_signals
-    best: LpOutcome | None = None
+    columns: list[LpOutcome] = []
     for j in range(pi_prime.n_signals):
         objective = _column_sum(pi, pi_prime, j, n_vars)
         outcome = solve(_psi_program(pi, pi_prime, objective=objective, sense="max"))
@@ -360,8 +359,8 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
                 dual_min=lowest.dual,
                 dual_max=None,
             )
-        if best is None or outcome.objective > best.objective:
-            best = outcome
+        columns.append(outcome)
+    best = max(columns, key=lambda outcome: outcome.objective)
     witness_max = _certify(pi, pi_prime, best)
     if not witness_max.beta == best.objective >= beta_min:
         raise InternalError("maximal size differs from the witness's size")
@@ -371,7 +370,7 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
         witness_min=witness_min,
         witness_max=witness_max,
         dual_min=lowest.dual,
-        dual_max=best.dual,
+        dual_max=tuple(outcome.dual for outcome in columns),
     )
 
 

@@ -1,5 +1,5 @@
-"""The recursive stopping value and the matrix-product merging horizon, kept
-as a test-only reference.
+"""The recursive stopping value, the matrix-product merging horizon and the
+LP-first counterexample, kept as a test-only reference.
 
 These are the expansions ``expord.dynamics.stopping_value`` and
 ``expord.dynamics.merging_horizon`` ran before both moved to one level walk
@@ -11,6 +11,12 @@ Bayes updates from a point mass, so on every input the two pairs must agree
 exactly: the same Fractions, the same profiles and the same exceptions.
 ``tests/test_dynamics.py`` compares them.  The size guards are the original
 ``n_signals ** depth`` checks.
+
+``reference_counterexample`` is ``expord.dynamics.counterexample`` as it was
+when the psi LP of ``check_weighted`` decided the order before the per-atom
+hull decisions built the problem.  The posterior characterization makes the
+two decisions agree, so both must return the same problem, chain and values,
+or None, on every pair.
 """
 
 from __future__ import annotations
@@ -18,16 +24,20 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from expord.beliefs import HullMembershipCertificate, hull_decide, posteriors
 from expord.dynamics import (
     _MAX_DEPTH,
     MarkovChain,
     MergingReport,
     StoppingProblem,
-    Tolerance,
+    _induct,
+    _walk,
     as_tolerance,
+    iid_chain,
 )
-from expord.experiments import Experiment, _require_shared_states
-from expord.numerics import InvalidInput
+from expord.experiments import DecisionProblem, Experiment, Prior, _require_shared_states
+from expord.numerics import InternalError, InvalidInput, RationalLike
+from expord.order import check_weighted
 
 
 def reference_stopping_value(stopping: StoppingProblem, experiment: Experiment) -> Fraction:
@@ -59,7 +69,7 @@ def reference_stopping_value(stopping: StoppingProblem, experiment: Experiment) 
 
 
 def reference_merging_horizon(
-    chain: MarkovChain, experiment: Experiment, epsilon: Tolerance, n_max: int = 12
+    chain: MarkovChain, experiment: Experiment, epsilon: RationalLike, n_max: int = 12
 ) -> MergingReport:
     """The merging gap over every signal string, by matrix products."""
     threshold = as_tolerance(epsilon)
@@ -131,3 +141,60 @@ def reference_merging_horizon(
         epsilon=threshold,
         n_max=n_max,
     )
+
+
+def reference_counterexample(
+    pi: Experiment, pi_prime: Experiment, mu: Prior
+) -> tuple[DecisionProblem, MarkovChain, tuple[tuple[int, Fraction, Fraction], ...]] | None:
+    """``counterexample`` as it was: the psi LP decides, then the hull walk builds."""
+    _require_shared_states(pi, pi_prime)
+    if not mu.full_support:
+        raise InvalidInput("the construction needs a full-support prior")
+    if check_weighted(pi, pi_prime) is not None:
+        return None
+    source = posteriors(pi, mu)
+    generators = posteriors(pi_prime, mu).beliefs
+    n = pi.n_states
+    payoffs: list[tuple[Fraction, ...]] = [tuple(Fraction(-1) for _ in range(n))]
+    for atom in source.atoms:
+        functional = hull_decide(atom.belief, generators)
+        if isinstance(functional, HullMembershipCertificate):
+            continue
+        witness_value = sum(
+            (functional[t] * atom.belief[t] for t in range(n)), Fraction(0)
+        )
+        hull_max = max(
+            sum((functional[t] * g[t] for t in range(n)), Fraction(0))
+            for g in generators
+        )
+        # h - h(witness) vanishes at the witness; scaling by 2 / margin
+        # pins it to at most -2 on the hull, below the safe action's -1.
+        margin = witness_value - hull_max
+        payoffs.append(
+            tuple((h - witness_value) * 2 / margin for h in functional)
+        )
+    if len(payoffs) == 1:
+        raise InternalError("a failed order must leave some posterior outside")
+    peak = max(abs(entry) for row in payoffs for entry in row)
+    if peak > 1:
+        factor = Fraction(2)
+        while factor < peak:
+            factor *= 2
+        payoffs = [tuple(entry / factor for entry in row) for row in payoffs]
+    problem = DecisionProblem(
+        actions=tuple(f"a{k}" for k in range(len(payoffs))),
+        payoffs=tuple(payoffs),
+        prior=mu,
+    )
+    chain = iid_chain(mu, states=pi.states)
+    # The longest horizon's checks cover the shorter ones; one walk per
+    # experiment serves every horizon.
+    StoppingProblem(problem=problem, chain=chain, horizon=4)
+    walks = [_walk(chain, experiment, mu.weights, 4) for experiment in (pi, pi_prime)]
+    values = []
+    for horizon in (1, 2, 3, 4):
+        better, worse = (_induct(problem, walk, horizon) for walk in walks)
+        if not better > worse:
+            raise InternalError("counterexample must separate at every horizon")
+        values.append((horizon, better, worse))
+    return problem, chain, tuple(values)

@@ -36,6 +36,7 @@ from expord import (
 from expord.experiments import Experiment
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     perfect_experiment,
     random_chain,
     random_experiment,
@@ -43,7 +44,11 @@ from expord.generators import (
     uninformative_experiment,
 )
 from expord.value import random_decision_problem
-from reference_dynamics import reference_merging_horizon, reference_stopping_value
+from reference_dynamics import (
+    reference_counterexample,
+    reference_merging_horizon,
+    reference_stopping_value,
+)
 
 F = Fraction
 
@@ -409,6 +414,29 @@ class TestCountArguments:
             eta_limit(IID_UNIFORM, binary_symmetric("3/5"), max_iter=max_iter)
 
 
+FLOATS = [0.5, 0.0, float("inf"), float("nan")]
+
+
+class TestTolerancesAreExact:
+    """A float tolerance is refused, never converted."""
+
+    @pytest.mark.parametrize("tol", FLOATS)
+    def test_eta_tol(self, tol):
+        with pytest.raises(InvalidInput):
+            eta_limit(IID_UNIFORM, binary_symmetric("3/5"), tol=tol)
+
+    @pytest.mark.parametrize("tol", FLOATS)
+    def test_regular_prior_tol(self, tol):
+        hull = eta_limit(IID_UNIFORM, binary_symmetric("3/5"), tol=0).hull
+        with pytest.raises(InvalidInput):
+            regular_prior_check(IID_UNIFORM, binary_symmetric("3/5"), UNIFORM, hull, tol=tol)
+
+    @pytest.mark.parametrize("epsilon", FLOATS)
+    def test_merging_epsilon(self, epsilon):
+        with pytest.raises(InvalidInput):
+            merging_horizon(STICKY, binary_symmetric("3/5"), epsilon, n_max=3)
+
+
 def _outcome(function, *args, **kwargs):
     try:
         return function(*args, **kwargs)
@@ -441,6 +469,15 @@ class TestAgainstRecursiveReference:
             assert got == _outcome(reference_merging_horizon, chain, e, eps, n_max=7)
             compared += 1
         assert compared == 700
+
+    def test_counterexample_on_the_acceptance_corpus(self):
+        # The hull decisions alone answer exactly as the psi LP did first.
+        found = 0
+        for pi, mu, pi_prime in corpus_pairs(20250814, 500):
+            got = counterexample(pi, pi_prime, mu)
+            assert got == reference_counterexample(pi, pi_prime, mu)
+            found += got is not None
+        assert 0 < found < 500
 
 
 STICKY = markov_chain([["9/10", "1/10"], ["1/5", "4/5"]])

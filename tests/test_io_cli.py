@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from expord.generators import (
     uninformative_experiment,
 )
 from reference_order import size_interval_programs
+from reference_simplex import reference_solve
 
 F = Fraction
 
@@ -592,6 +594,24 @@ class TestCliPlumbing:
         assert captured.out == ""
         assert captured.err == "error: simplex produced a bad Farkas certificate\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "weighted", "pi_low", "family"],
+            ["hull-check", "--point", "1/10,9/10", "--generators", "1/4,3/4;3/4,1/4"],
+        ],
+    )
+    def test_broken_pipe_exits_two(self, files, capsys, monkeypatch, argv):
+        # A reader that closes stdout early is an I/O error, not a traceback.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run([files.get(arg, arg) for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
     def test_no_arguments_exits_two(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
@@ -758,7 +778,12 @@ def _conditional_doc(pi_doc, pi_prime_doc):
 
 
 def _run_on(documents, build_argv) -> int:
-    """Write each document to a file and run the command built from their paths."""
+    """Write each document to a file and run the command built from their paths.
+
+    Whatever the exit code, stdout must keep the contract: exactly one JSON
+    document after an exit of 0 or 1, and nothing after an exit of 2 or 3.
+    """
+    stdout = io.StringIO()
     with tempfile.TemporaryDirectory() as folder:
         paths = []
         for k, doc in enumerate(documents):
@@ -766,10 +791,14 @@ def _run_on(documents, build_argv) -> int:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(doc, handle)
             paths.append(path)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-            io.StringIO()
-        ):
-            return run(build_argv(*paths))
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = run(build_argv(*paths))
+    printed = stdout.getvalue()
+    if code in (0, 1):
+        assert printed.endswith("}\n") and isinstance(json.loads(printed), dict)
+    else:
+        assert printed == ""
+    return code
 
 
 class TestSubcommandFuzz:
@@ -895,14 +924,20 @@ class TestSizeIntervalDuals:
         code, doc = invoke(capsys, "size-interval", files["pi_low"], files["family"])
         assert code == 0
         pi, pi_prime = binary_symmetric("3/5"), three_signal_family("4/5")
-        witness_max = docs.certificate_from_doc(doc["witness_max"])
-        column = witness_max.gamma.index(F(doc["beta_max"]))
-        lowest, highest = size_interval_programs(pi, pi_prime, column)
+        lowest, _ = size_interval_programs(pi, pi_prime, 0)
         dual_min = [F(v) for v in doc["dual_min"]]
-        dual_max = [F(v) for v in doc["dual_max"]]
-        assert len(dual_min) == len(lowest.rows) and len(dual_max) == len(highest.rows)
+        assert len(dual_min) == len(lowest.rows)
         assert numerics.dual_verifies(lowest, dual_min, F(doc["beta_min"]))
-        assert numerics.dual_verifies(highest, dual_max, F(doc["beta_max"]))
+        assert len(doc["dual_max"]) == pi_prime.n_signals
+        optima = []
+        for column, entries in enumerate(doc["dual_max"]):
+            _, highest = size_interval_programs(pi, pi_prime, column)
+            dual = [F(v) for v in entries]
+            optimum = reference_solve(highest).objective
+            assert len(dual) == len(highest.rows)
+            assert numerics.dual_verifies(highest, dual, optimum)
+            optima.append(optimum)
+        assert max(optima) == F(doc["beta_max"])
 
     def test_unbounded_interval_has_no_upper_dual(self, files, capsys):
         null_signal = validate_experiment([["1/2", "0", "1/2"], ["1/4", "0", "3/4"]])

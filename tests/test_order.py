@@ -48,6 +48,7 @@ from expord.generators import (
     uninformative_experiment,
 )
 import reference_order
+from reference_simplex import reference_solve
 
 F = Fraction
 
@@ -550,17 +551,21 @@ class TestVerifyCertificateAgainstFractions:
 
 
 def _assert_interval_duals_verify(pi, pi_prime, interval):
-    if interval.beta_max is None:
-        assert interval.dual_max is None and interval.witness_max is None
-        column = 0
-    else:
-        column = interval.witness_max.gamma.index(interval.beta_max)
-    lowest, highest = reference_order.size_interval_programs(pi, pi_prime, column)
+    lowest, _ = reference_order.size_interval_programs(pi, pi_prime, 0)
     assert dual_verifies(lowest, interval.dual_min, interval.beta_min)
     moved = (interval.dual_min[0] + 1, *interval.dual_min[1:])
     assert not dual_verifies(lowest, moved, interval.beta_min)
-    if interval.beta_max is not None:
-        assert dual_verifies(highest, interval.dual_max, interval.beta_max)
+    if interval.beta_max is None:
+        assert interval.dual_max is None and interval.witness_max is None
+        return
+    assert len(interval.dual_max) == pi_prime.n_signals
+    optima = []
+    for column, dual in enumerate(interval.dual_max):
+        _, highest = reference_order.size_interval_programs(pi, pi_prime, column)
+        optimum = reference_solve(highest).objective
+        assert dual_verifies(highest, dual, optimum)
+        optima.append(optimum)
+    assert max(optima) == interval.beta_max
 
 
 class TestSizeIntervalDuals:
