@@ -166,6 +166,8 @@ class Experiment:
         mass is zero.  The measure is typically a prior or a pushed-forward
         belief.  The joint is formed in ints, over one denominator.
         """
+        if not (_is_count(j) and 0 <= j < self.n_signals):
+            raise InvalidInput(f"signal index {j!r} is not an int in range")
         _check_measure(measure, self.n_states)
         weights, scale = _clear_denominators(measure)
         columns, matrix_scale = self._integer_columns

@@ -100,7 +100,9 @@ class LinearProgram:
 
     ``rows`` is a tuple of ``(coefficients, relation, rhs)`` triples where
     ``relation`` is one of ``"<="``, ``"="``, ``">="``.  ``nonneg[j]`` marks
-    variable ``j`` as sign-constrained; the rest are free.
+    variable ``j`` as sign-constrained; the rest are free.  Every number is
+    a ``Fraction`` and every flag a ``bool``; :func:`linear_program`
+    converts looser input.
     """
 
     objective: tuple[Fraction, ...]
@@ -116,13 +118,19 @@ class LinearProgram:
             raise InvalidInput(f"sense must be 'min' or 'max', got {self.sense!r}")
         if len(self.nonneg) != n:
             raise InvalidInput("nonneg flags must match the variable count")
-        for coeffs, relation, _rhs in self.rows:
+        if not all(isinstance(flag, bool) for flag in self.nonneg):
+            raise InvalidInput("nonneg flags must be bools")
+        if not all(isinstance(c, Fraction) for c in self.objective):
+            raise InvalidInput("objective coefficients must be Fractions")
+        for coeffs, relation, rhs in self.rows:
             if len(coeffs) != n:
                 raise InvalidInput(
                     f"row has {len(coeffs)} coefficients, expected {n}"
                 )
             if relation not in RELATIONS:
                 raise InvalidInput(f"unknown relation {relation!r}")
+            if not (isinstance(rhs, Fraction) and all(isinstance(c, Fraction) for c in coeffs)):
+                raise InvalidInput("row coefficients and right-hand sides must be Fractions")
         if not self.rows and all(c == 0 for c in self.objective):
             raise InvalidInput("program has neither constraints nor an objective")
 

@@ -9,12 +9,15 @@ Substituting psi(s, s') = gamma(s') phi(s|s') turns the existence question
 into a single linear feasibility problem in nonnegative psi: the weight
 identity follows by summing the reproduction rows over s, so the reproduction
 rows alone characterize the order.  Every decision here solves one instance
-of that psi program, built in one place: Blackwell garbling is the special
-case gamma = 1 (column sums equal to one), a size cap bounds the column sums,
-the minimal size minimizes a common bound on them, and the largest size
-maximizes one column sum at a time.  Each decision returns either a
-certificate that verifies by substitution or an exact negative answer; a
-certificate that fails its own check raises :class:`InternalError`.
+of that psi program, built in one place, and differs only in its column
+rows: a fixed weight sets the column sums equal to gamma, which is plain
+Blackwell garbling at gamma = 1 and the recovery from a conditional
+experiment at gamma = kappa / alpha; a size cap bounds the column sums; the
+minimal size minimizes a common bound on them; and the largest size
+maximizes one column sum at a time.  A feasibility question is solved once
+and answers with evidence either way: a certificate that verifies by
+substitution, or the verified Farkas multipliers of the reproduction rows.
+A certificate that fails its own check raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from operator import mul
 from typing import Sequence
 
 from .experiments import (
-    Experiment, Weight, _check_table, _require_shared_states, _require_weight, apply_weight,
-    make_weight,
+    Experiment, Weight, _check_table, _require_shared_states, _require_weight, make_weight,
 )
 from .numerics import (
     EQ,
@@ -156,7 +158,7 @@ def verify_certificate(certificate: GarblingCertificate) -> VerificationResult:
 def _psi_program(
     pi: Experiment,
     pi_prime: Experiment,
-    columns: tuple[tuple[Fraction, ...], str, Fraction] | None = None,
+    columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]] | None = None,
     objective: Sequence[Fraction] | None = None,
     sense: str = "min",
 ) -> LinearProgram:
@@ -166,7 +168,7 @@ def _psi_program(
     objective (``min_size``'s bound t) follow.  The rows
     sum_{s'} psi(s,s') pi_prime(s'|t) = pi(s|t) come first, signal-major;
     ``columns = (tail, relation, rhs)`` then adds
-    sum_s psi(s, s') + tail . extras  relation  rhs  for every s'.
+    sum_s psi(s, s') + tail . extras  relation  rhs[s']  for every s'.
     Under Bland's rule certificates depend on this order, so it is fixed.
     """
     _require_shared_states(pi, pi_prime)
@@ -185,7 +187,7 @@ def _psi_program(
         for j in range(n_sp):
             coeffs = _column_sum(pi, pi_prime, j, n_vars)
             coeffs[n_vars - len(tail) :] = tail
-            rows.append((coeffs, relation, rhs))
+            rows.append((coeffs, relation, rhs[j]))
     return linear_program(objective, rows, sense=sense)
 
 
@@ -195,10 +197,6 @@ def _column_sum(pi: Experiment, pi_prime: Experiment, j: int, n_vars: int) -> li
     for i in range(pi.n_signals):
         coeffs[i * pi_prime.n_signals + j] = Fraction(1)
     return coeffs
-
-
-# Column sums equal to one: gamma = 1, the plain Blackwell program.
-_STOCHASTIC = ((), EQ, Fraction(1))
 
 
 def _certify(pi: Experiment, pi_prime: Experiment, outcome: LpOutcome) -> GarblingCertificate:
@@ -211,6 +209,25 @@ def _certify(pi: Experiment, pi_prime: Experiment, outcome: LpOutcome) -> Garbli
     if not verify_certificate(certificate):
         raise InternalError("solver returned a non-verifying psi")
     return certificate
+
+
+def _decide(
+    pi: Experiment,
+    pi_prime: Experiment,
+    columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]] | None,
+) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
+    """Solve the psi feasibility program under ``columns`` once.
+
+    Returns the verified certificate when the program is feasible.
+    Otherwise entry [s][t] of the returned table is the multiplier y(s, t)
+    of the reproduction row at signal s of ``pi`` and state t, read off the
+    Farkas certificate that :func:`solve` has already checked.
+    """
+    outcome = solve(_psi_program(pi, pi_prime, columns))
+    if outcome.status != INFEASIBLE:
+        return _certify(pi, pi_prime, outcome)
+    n = pi.n_states
+    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
 
 
 def check_weighted(
@@ -228,33 +245,13 @@ def check_weighted(
     cap = None if max_size is None else as_rational(max_size)
     if cap is not None and cap < 1:
         raise InvalidInput("max_size must be at least 1")
-    columns = None if cap is None else ((), LE, cap)
-    outcome = solve(_psi_program(pi, pi_prime, columns))
-    if outcome.status == INFEASIBLE:
+    columns = None if cap is None else ((), LE, (cap,) * pi_prime.n_signals)
+    certificate = _decide(pi, pi_prime, columns)
+    if not isinstance(certificate, GarblingCertificate):
         return None
-    certificate = _certify(pi, pi_prime, outcome)
     if cap is not None and certificate.beta > cap:
         raise InternalError("solver exceeded the requested size")
     return certificate
-
-
-def blackwell_farkas(
-    pi: Experiment, pi_prime: Experiment
-) -> tuple[tuple[Fraction, ...], ...] | None:
-    """Farkas multipliers refuting plain Blackwell garbling, or None.
-
-    Returns None when ``pi`` is a Blackwell garbling of ``pi_prime``.
-    Otherwise entry [s][t] is the multiplier y(s, t) of the reproduction
-    row at signal s of ``pi`` and state t, the raw material for building
-    violating decision problems.
-    """
-    outcome = solve(_psi_program(pi, pi_prime, _STOCHASTIC))
-    if outcome.status == OPTIMAL:
-        return None
-    if outcome.status != INFEASIBLE:
-        raise InternalError(f"feasibility program came back {outcome.status}")
-    n = pi.n_states
-    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
 
 
 def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate | None:
@@ -263,10 +260,9 @@ def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate
     The returned certificate has weight one on every signal, so its psi is
     the channel phi itself and its size is exactly 1.
     """
-    outcome = solve(_psi_program(pi, pi_prime, _STOCHASTIC))
-    if outcome.status == INFEASIBLE:
+    certificate = _decide(pi, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+    if not isinstance(certificate, GarblingCertificate):
         return None
-    certificate = _certify(pi, pi_prime, outcome)
     if certificate.beta != 1:
         raise InternalError("Blackwell certificate has size other than 1")
     return certificate
@@ -291,7 +287,7 @@ def _min_size(
 ) -> tuple[LpOutcome, GarblingCertificate] | None:
     """:func:`min_size`'s optimal outcome, dual included, and its witness."""
     objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
-    columns = ((Fraction(-1),), LE, Fraction(0))
+    columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
     outcome = solve(_psi_program(pi, pi_prime, columns, objective))
     if outcome.status == INFEASIBLE:
         return None
@@ -342,35 +338,32 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     if base is None:
         return None
     lowest, witness_min = base
-    beta_min = lowest.objective
     n_vars = pi.n_signals * pi_prime.n_signals
-    columns: list[LpOutcome] = []
+    columns: list[LpOutcome] | None = []
     for j in range(pi_prime.n_signals):
         objective = _column_sum(pi, pi_prime, j, n_vars)
         outcome = solve(_psi_program(pi, pi_prime, objective=objective, sense="max"))
         if outcome.status == INFEASIBLE:
             raise InternalError("column maximization infeasible after min_size")
         if outcome.status == UNBOUNDED:
-            return SizeInterval(
-                beta_min=beta_min,
-                beta_max=None,
-                witness_min=witness_min,
-                witness_max=None,
-                dual_min=lowest.dual,
-                dual_max=None,
-            )
+            columns = None
+            break
         columns.append(outcome)
-    best = max(columns, key=lambda outcome: outcome.objective)
-    witness_max = _certify(pi, pi_prime, best)
-    if not witness_max.beta == best.objective >= beta_min:
-        raise InternalError("maximal size differs from the witness's size")
+    beta_max = witness_max = dual_max = None
+    if columns is not None:
+        best = max(columns, key=lambda outcome: outcome.objective)
+        beta_max = best.objective
+        witness_max = _certify(pi, pi_prime, best)
+        if not witness_max.beta == beta_max >= lowest.objective:
+            raise InternalError("maximal size differs from the witness's size")
+        dual_max = tuple(outcome.dual for outcome in columns)
     return SizeInterval(
-        beta_min=beta_min,
-        beta_max=best.objective,
+        beta_min=lowest.objective,
+        beta_max=beta_max,
         witness_min=witness_min,
         witness_max=witness_max,
         dual_min=lowest.dual,
-        dual_max=tuple(outcome.dual for outcome in columns),
+        dual_max=dual_max,
     )
 
 
@@ -509,29 +502,18 @@ def from_conditional(
 ) -> GarblingCertificate:
     """Recover a weighted-garbling certificate from a conditional experiment.
 
-    The weight is gamma(s') = kappa(event|s') / alpha.  The signal
-    distribution conditional on the event is the reweighted base
-    experiment; ``pi`` must be a Blackwell garbling of it, and the
-    resulting channel combines with gamma into a certificate of size
-    max kappa / alpha.  Raises :class:`OrderError` when the Blackwell
-    check fails.
+    The weight is gamma(s') = kappa(event|s') / alpha, and the signal
+    distribution conditional on the event is the base experiment reweighted
+    by it.  ``pi`` is a Blackwell garbling of that distribution exactly when
+    the psi program with column sums equal to gamma is feasible, and its
+    solution is a certificate of size max kappa / alpha.  Raises
+    :class:`OrderError` when it is not.
     """
-    base = conditional.base
-    _require_shared_states(pi, base)
-    kappa = conditional.kernel()
-    gamma = tuple(k / conditional.alpha for k in kappa)
-    conditioned = apply_weight(gamma, base)
-    channel = check_blackwell(pi, conditioned)
-    if channel is None:
+    gamma = tuple(k / conditional.alpha for k in conditional.kernel())
+    certificate = _decide(pi, conditional.base, ((), EQ, gamma))
+    if not isinstance(certificate, GarblingCertificate):
         raise OrderError(
             "the experiment is not a Blackwell garbling of the "
             "event-conditional distribution"
         )
-    psi = tuple(
-        tuple(channel.psi[i][j] * gamma[j] for j in range(base.n_signals))
-        for i in range(pi.n_signals)
-    )
-    certificate = GarblingCertificate(pi=pi, pi_prime=base, psi=psi)
-    if not verify_certificate(certificate):
-        raise InternalError("recovered certificate does not verify")
     return certificate

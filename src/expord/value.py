@@ -42,12 +42,13 @@ from .experiments import (
     residual_experiment,
 )
 from .numerics import (
+    EQ,
     InternalError,
     InvalidInput,
     RationalLike,
     as_rational,
 )
-from .order import GarblingCertificate, blackwell_farkas, verify_certificate
+from .order import GarblingCertificate, _decide, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -249,8 +250,8 @@ def falsify_bound(
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
     diluted = dilute(pi, scale)
-    farkas = blackwell_farkas(diluted, pi_prime)
-    if farkas is None:
+    farkas = _decide(diluted, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+    if isinstance(farkas, GarblingCertificate):
         return None
     n_states = pi.n_states
     payoffs = [tuple(y * n_states for y in row) for row in farkas]

@@ -8,6 +8,14 @@ the same violation messages.  ``tests/test_order.py`` compares them.
 ``size_interval_programs`` spells out, independently of ``expord.order``,
 the two programs whose duals a ``SizeInterval`` carries.
 
+``blackwell_farkas`` and ``from_conditional`` are the bodies
+``expord.order`` had before every feasibility question went through one
+decision, ``_decide``: the first solved the Blackwell program a second time
+for its Farkas multipliers, the second checked Blackwell garbling against
+the reweighted base experiment and rescaled the channel by the weight.
+``blackwell_program`` states the Blackwell program independently of
+``expord.order``, in the row order ``_psi_program`` documents.
+
 ``check_conditional`` is the acceptance rule ``ConditionalExperiment`` had
 before it read the per-signal event probability off ``kernel()``: a bound
 scan, a mass scan and a separate ratio scan.  It must accept exactly the
@@ -18,9 +26,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from expord.experiments import Experiment, _check_table
-from expord.numerics import EQ, LE, InvalidInput, linear_program
-from expord.order import GarblingCertificate, VerificationResult
+from expord.experiments import Experiment, _check_table, _require_shared_states, apply_weight
+from expord.numerics import (
+    EQ, INFEASIBLE, LE, OPTIMAL, InternalError, InvalidInput, linear_program, solve,
+)
+from expord.order import (
+    GarblingCertificate, OrderError, VerificationResult, check_blackwell, verify_certificate,
+)
 
 
 def verify_certificate(certificate: GarblingCertificate) -> VerificationResult:
@@ -78,6 +90,55 @@ def size_interval_programs(pi, pi_prime, column):
         sense="max",
     )
     return lowest, highest
+
+
+def blackwell_program(pi, pi_prime):
+    """Reproduction rows, signal-major, then every column sum of psi equal to one."""
+    n_s, n_sp = pi.n_signals, pi_prime.n_signals
+    n_vars = n_s * n_sp
+    rows = []
+    for s in range(n_s):
+        for t in range(pi.n_states):
+            coeffs = [0] * n_vars
+            coeffs[s * n_sp : (s + 1) * n_sp] = pi_prime.matrix[t]
+            rows.append((coeffs, EQ, pi.matrix[t][s]))
+    for j in range(n_sp):
+        rows.append(([int(k % n_sp == j) for k in range(n_vars)], EQ, 1))
+    return linear_program([0] * n_vars, rows)
+
+
+def blackwell_farkas(pi, pi_prime):
+    """Farkas multipliers [signal][state] refuting plain Blackwell garbling, or None."""
+    outcome = solve(blackwell_program(pi, pi_prime))
+    if outcome.status == OPTIMAL:
+        return None
+    if outcome.status != INFEASIBLE:
+        raise InternalError(f"feasibility program came back {outcome.status}")
+    n = pi.n_states
+    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+
+
+def from_conditional(conditional, pi):
+    """A certificate from ``pi``'s Blackwell channel out of the reweighted base."""
+    base = conditional.base
+    _require_shared_states(pi, base)
+    kappa = conditional.kernel()
+    gamma = tuple(k / conditional.alpha for k in kappa)
+    conditioned = apply_weight(gamma, base)
+    channel = check_blackwell(pi, conditioned)
+    if channel is None:
+        raise OrderError(
+            "the experiment is not a Blackwell garbling of the "
+            "event-conditional distribution"
+        )
+    psi = tuple(
+        tuple(channel.psi[i][j] * gamma[j] for j in range(base.n_signals))
+        for i in range(pi.n_signals)
+    )
+    certificate = GarblingCertificate(pi=pi, pi_prime=base, psi=psi)
+    if not verify_certificate(certificate):
+        raise InternalError("recovered certificate does not verify")
+    return certificate
 
 
 def check_conditional(base: Experiment, event, alpha) -> None:

@@ -292,6 +292,11 @@ class TestBayes:
         with pytest.raises(InvalidInput):
             binary_symmetric("3/5").bayes((F(1, 3), F(1, 3), F(1, 3)), 0)
 
+    @pytest.mark.parametrize("j", [-1, 2, 5, True, 1.0, "1", None])
+    def test_signal_index_must_be_an_int_in_range(self, j):
+        with pytest.raises(InvalidInput, match="signal index"):
+            binary_symmetric("3/5").bayes((1, 1), j)
+
 
 class TestBestResponse:
     def test_ties_go_to_the_lowest_index(self):

@@ -170,6 +170,26 @@ class TestSolveExamples:
         with pytest.raises(InvalidInput):
             linear_program(objective=[1, 2], sense="min", rows=[([1], LE, 1)])
 
+    @pytest.mark.parametrize(
+        "objective, row, nonneg",
+        [
+            ((0.5,), ((F(1),), GE, F(1)), (True,)),
+            ((F(1),), ((0.5,), GE, F(1)), (True,)),
+            ((F(1),), ((F(1),), GE, 0.1), (True,)),
+            ((1,), ((F(1),), GE, F(1)), (True,)),
+            ((F(1),), ((F(1),), GE, "1/2"), (True,)),
+            ((F(1),), ((F(1),), GE, F(1)), ("no",)),
+            ((F(1),), ((F(1),), GE, F(1)), (1,)),
+        ],
+    )
+    def test_program_holds_only_fractions_and_bools(self, objective, row, nonneg):
+        # linear_program converts such input; the dataclass itself refuses it.
+        numerics.LinearProgram(
+            objective=(F(1),), sense="min", rows=(((F(1),), GE, F(1)),), nonneg=(True,)
+        )
+        with pytest.raises(InvalidInput):
+            numerics.LinearProgram(objective=objective, sense="min", rows=(row,), nonneg=nonneg)
+
     def test_program_without_rows(self):
         # With no rows the tableau still has one column per variable.
         out = solve(linear_program(objective=[-1], rows=[]))

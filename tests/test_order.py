@@ -27,6 +27,7 @@ from expord import (
     check_weighted,
     compose,
     dilute,
+    falsify_bound,
     from_conditional,
     make_weight,
     min_size,
@@ -36,8 +37,8 @@ from expord import (
     validate_experiment,
     verify_certificate,
 )
-from expord.order import blackwell_farkas
-from expord.numerics import dual_verifies
+from expord.order import _decide
+from expord.numerics import EQ, dual_verifies
 from expord.generators import (
     binary_symmetric,
     corpus_pairs,
@@ -106,6 +107,12 @@ class TestCheckBlackwell:
     def test_state_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             check_blackwell(binary_symmetric("3/5"), perfect_experiment(3))
+
+
+def blackwell_farkas(pi, pi_prime):
+    """The Farkas side of the Blackwell decision, or None when it holds."""
+    found = _decide(pi, pi_prime, ((), EQ, (F(1),) * pi_prime.n_signals))
+    return None if isinstance(found, GarblingCertificate) else found
 
 
 class TestBlackwellFarkas:
@@ -590,3 +597,60 @@ class TestSizeIntervalDuals:
                 _assert_interval_duals_verify(pi, pi_prime, interval)
                 seen.add(interval.unbounded)
         assert seen == {True, False}
+
+
+# ------------------------------------- one psi decision vs the bodies it replaced
+
+
+def _recovery(conditional, pi, recover):
+    try:
+        return recover(conditional, pi)
+    except OrderError as error:
+        return ("OrderError", str(error))
+
+
+class TestOneDecisionAgainstParentBodies:
+    """``_decide`` answers as the separate solves in ``reference_order`` did."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return corpus_pairs(20250814, 500)
+
+    def test_from_conditional_on_every_ordered_pair(self, corpus):
+        compared = zero_weights = refused = 0
+        for pi, _prior, pi_prime in corpus:
+            found = check_weighted(pi, pi_prime)
+            if found is None:
+                continue
+            interval = size_interval(pi, pi_prime)
+            for certificate in (found, interval.witness_min, interval.witness_max):
+                if certificate is None:
+                    continue
+                conditional = to_conditional(pi_prime, certificate)
+                zero_weights += min(certificate.gamma) == 0
+                for target in (pi, pi_prime):
+                    got = _recovery(conditional, target, from_conditional)
+                    assert got == _recovery(conditional, target, reference_order.from_conditional)
+                    refused += isinstance(got, tuple)
+                    compared += 1
+        assert compared > 1000 and zero_weights > 100 and 0 < refused < compared
+
+    def test_falsify_bound_on_every_pair(self, corpus):
+        # Unordered pairs are refuted at every size; ordered ones hold from
+        # their minimal size on, which gives the Blackwell side its cases.
+        compared = refuted = 0
+        for pi, _prior, pi_prime in corpus:
+            for beta in (1, 2, 4, 8):
+                diluted = dilute(pi, beta)
+                expected = reference_order.blackwell_farkas(diluted, pi_prime)
+                assert blackwell_farkas(diluted, pi_prime) == expected
+                problem = falsify_bound(pi, pi_prime, beta)
+                assert (problem is None) == (expected is None)
+                compared += 1
+                if expected is None:
+                    continue
+                scaled = [[y * pi.n_states for y in row] for row in expected]
+                peak = max(1, max(abs(v) for row in scaled for v in row))
+                assert problem.payoffs == tuple(tuple(v / peak for v in row) for row in scaled)
+                refuted += 1
+        assert compared == 2000 and 0 < refuted < compared

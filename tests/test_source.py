@@ -7,6 +7,11 @@ appears anywhere in the module's code.
 
 No module contains an ``assert`` statement: ``python -O`` strips them, and
 every self-check in the library must still run under it.
+
+No module contains a float literal or the name ``float``: every number the
+library computes with is exact.  ``random.Random.random()`` in
+``generators.random_lp`` is the one float it touches, and only to draw a
+``bool``; it is neither a literal nor the name.
 """
 
 import ast
@@ -50,3 +55,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_float_literals_or_float_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Name) and node.id == "float"
+    ]
+    assert not lines, f"{path.name} uses floats at lines {lines}"
