@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -129,7 +130,7 @@ class LinearProgram:
                 )
             if relation not in RELATIONS:
                 raise InvalidInput(f"unknown relation {relation!r}")
-            if not (isinstance(rhs, Fraction) and all(isinstance(c, Fraction) for c in coeffs)):
+            if not (isinstance(rhs, Fraction) and all(map(isinstance, coeffs, repeat(Fraction)))):
                 raise InvalidInput("row coefficients and right-hand sides must be Fractions")
         if not self.rows and all(c == 0 for c in self.objective):
             raise InvalidInput("program has neither constraints nor an objective")
@@ -168,7 +169,7 @@ def linear_program(
         (tuple(as_rational(c) for c in coeffs), relation, as_rational(rhs))
         for coeffs, relation, rhs in rows
     )
-    flags = tuple(True for _ in obj) if nonneg is None else tuple(bool(f) for f in nonneg)
+    flags = (True,) * len(obj) if nonneg is None else tuple(nonneg)
     return LinearProgram(objective=obj, sense=sense, rows=prepared, nonneg=flags)
 
 
@@ -211,18 +212,20 @@ def _primal_holds(lp: LinearProgram, v: Sequence[Fraction], homogeneous: bool) -
 
 
 def _dual_value(
-    lp: LinearProgram, y: Sequence[Fraction], cost: Sequence[Fraction]
+    lp: LinearProgram, y: Sequence[Fraction], cost: Sequence[Fraction], sign: int = 1
 ) -> Fraction | None:
     """``y . b`` if ``y`` is feasible for the dual of min ``cost . x`` over ``lp``, else None.
 
     That is y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows, and (y^T A)_j <=
     cost_j on sign-constrained columns, == on free ones; then every
-    feasible x has cost . x >= (y^T A) x >= y . b.
+    feasible x has cost . x >= (y^T A) x >= y . b.  With ``sign = -1`` the
+    check runs on ``-y`` and ``-cost`` over integers.
     """
     rows, row_scale = lp._integer_rows
     if len(y) != len(rows):
         return None
     multipliers, scale = _clear_denominators(y)
+    multipliers = [sign * m for m in multipliers]
     aggregate = [0] * lp.n_variables
     for multiplier, (coeffs, relation, _rhs) in zip(multipliers, rows):
         if relation == LE and multiplier > 0 or relation == GE and multiplier < 0:
@@ -231,6 +234,7 @@ def _dual_value(
             aggregate = [a + multiplier * c for a, c in zip(aggregate, coeffs)]
     # aggregate is (y^T A) * scale * row_scale; compare it over one denominator.
     costs, cost_scale = _clear_denominators(cost)
+    costs = [sign * c for c in costs]
     factor = scale * row_scale
     for flag, a, c in zip(lp.nonneg, aggregate, costs):
         lhs, rhs = a * cost_scale, c * factor
@@ -261,11 +265,9 @@ def dual_verifies(lp: LinearProgram, y: Sequence[Fraction], value: Fraction) -> 
     sign flipped for a max one.  By weak duality no feasible point beats
     ``value``, so a feasible point that attains it is optimal.
     """
-    if lp.sense == "min":
-        found = _dual_value(lp, y, lp.objective)
-        return found is not None and found == value
-    found = _dual_value(lp, [-v for v in y], [-c for c in lp.objective])
-    return found is not None and found == -value
+    sign = 1 if lp.sense == "min" else -1
+    found = _dual_value(lp, y, lp.objective, sign)
+    return found is not None and found == sign * value
 
 
 def ray_verifies(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
@@ -385,7 +387,7 @@ class _Tableau:
 def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """``D * v`` for each ``v`` as ints, and ``D``, the LCM of the denominators."""
     ratios = [v.as_integer_ratio() for v in values]
-    scale = lcm(*[d for _, d in ratios])
+    scale = lcm(*{d for _, d in ratios})
     return [n * (scale // d) for n, d in ratios], scale
 
 
@@ -441,9 +443,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
     slack_at = n_struct
     art_at = n_struct + n_slack
     for coeffs, relation, rhs in prepared:
-        row = [0] * n_cols + [rhs]
-        for col, (var, sign) in enumerate(col_var):
-            row[col] = sign * coeffs[var]
+        struct = coeffs if n_struct == n else [sign * coeffs[var] for var, sign in col_var]
+        row = [*struct, *[0] * (n_cols - n_struct), rhs]
         if relation != EQ:
             row[slack_at] = 1 if relation == LE else -1
             slack_at += 1
@@ -470,7 +471,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         ])
 
     if m > 0:
-        phase_one = [1 if j in artificial_cols else 0 for j in range(n_cols)]
+        phase_one = [0] * (n_struct + n_slack) + [1] * n_art
         tableau.set_cost(phase_one)
         status, _ = tableau.minimize(banned=frozenset())
         if status != OPTIMAL:
@@ -507,12 +508,13 @@ def solve(lp: LinearProgram) -> LpOutcome:
     status, entering = tableau.minimize(banned=artificial_cols)
     tableau.bring_all_up()
 
-    point = [Fraction(0)] * n
+    # The point's numerators over d; its objective is read off them in ints.
+    numerators = [0] * n
     for col, row in zip(tableau.basis, tableau.rows):
         if col < n_struct:
             var, sign = col_var[col]
-            point[var] += sign * Fraction(row[-1], tableau.d)
-    point = tuple(point)
+            numerators[var] += sign * row[-1]
+    point = tuple([Fraction(v, tableau.d) for v in numerators])
     if not solution_feasible(lp, point):
         raise InternalError("simplex produced an infeasible basic point")
 
@@ -532,7 +534,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             raise InternalError("simplex produced a bad unbounded ray")
         return LpOutcome(status=UNBOUNDED, x=point, ray=ray)
 
-    value = evaluate_row(lp.objective, point)
+    value = Fraction(sum(map(mul, objective, numerators)), tableau.d * cost_scale)
     dual = row_multipliers(phase_two, scale, cost_scale, not minimize)
     if not dual_verifies(lp, dual, value):
         raise InternalError("simplex produced a bad dual certificate")

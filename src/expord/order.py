@@ -8,16 +8,18 @@ gamma for P' and a channel phi from P''s signals to P's signals with
 Substituting psi(s, s') = gamma(s') phi(s|s') turns the existence question
 into a single linear feasibility problem in nonnegative psi: the weight
 identity follows by summing the reproduction rows over s, so the reproduction
-rows alone characterize the order.  Every decision here solves one instance
-of that psi program, built in one place, and differs only in its column
-rows: a fixed weight sets the column sums equal to gamma, which is plain
-Blackwell garbling at gamma = 1 and the recovery from a conditional
-experiment at gamma = kappa / alpha; a size cap bounds the column sums; the
-minimal size minimizes a common bound on them; and the largest size
-maximizes one column sum at a time.  A feasibility question is solved once
-and answers with evidence either way: a certificate that verifies by
-substitution, or the verified Farkas multipliers of the reproduction rows.
-A certificate that fails its own check raises :class:`InternalError`.
+rows alone characterize the order.  They split into one block per signal s
+of P, over psi(s, .): is P's posterior at s in the hull of P''s posteriors?
+Every decision solves the blocks first, in signal order, and the first
+infeasible one refutes it.  Otherwise the block points certify the order,
+and the linked program, built in one place, adds column rows: a fixed weight
+sets the column sums equal to gamma (plain Blackwell garbling at gamma = 1,
+the recovery from a conditional experiment at gamma = kappa / alpha), a size
+cap bounds them, and the minimal size minimizes a common bound on them.  The
+largest size maximizes each column sum block by block.  Every answer carries
+evidence either way: a certificate that verifies by substitution, or the
+verified Farkas multipliers of the reproduction rows.  A certificate that
+fails its own check raises :class:`InternalError`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .numerics import (
     INFEASIBLE,
     LE,
     OPTIMAL,
-    UNBOUNDED,
     InternalError,
     InvalidInput,
     LinearProgram,
@@ -43,7 +44,7 @@ from .numerics import (
     RationalLike,
     _clear_denominators,
     as_rational,
-    linear_program,
+    dual_verifies,
     solve,
 )
 
@@ -176,39 +177,65 @@ def _psi_program(
     if objective is None:
         objective = [Fraction(0)] * (pi.n_signals * n_sp)
     n_vars = len(objective)
-    rows = []
-    for i in range(pi.n_signals):
-        for t in range(pi.n_states):
-            coeffs = [Fraction(0)] * n_vars
-            coeffs[i * n_sp : (i + 1) * n_sp] = pi_prime.matrix[t]
-            rows.append((coeffs, EQ, pi.matrix[t][i]))
+    zeros = (Fraction(0),) * n_vars
+    rows = [
+        (zeros[: i * n_sp] + tuple(row) + zeros[(i + 1) * n_sp :], EQ, pi.matrix[t][i])
+        for i in range(pi.n_signals)
+        for t, row in enumerate(pi_prime.matrix)
+    ]
     if columns is not None:
         tail, relation, rhs = columns
         for j in range(n_sp):
             coeffs = _column_sum(pi, pi_prime, j, n_vars)
             coeffs[n_vars - len(tail) :] = tail
-            rows.append((coeffs, relation, rhs[j]))
-    return linear_program(objective, rows, sense=sense)
+            rows.append((tuple(coeffs), relation, rhs[j]))
+    return LinearProgram(tuple(objective), sense, tuple(rows), (True,) * n_vars)
+
+
+def _block(
+    pi: Experiment, pi_prime: Experiment, s: int,
+    objective: Sequence[Fraction] | None = None, sense: str = "min",
+) -> LinearProgram:
+    """Block ``s`` of the psi program: its |T| reproduction rows over psi(s, .) alone."""
+    _require_shared_states(pi, pi_prime)
+    n_sp = pi_prime.n_signals
+    objective = (Fraction(0),) * n_sp if objective is None else tuple(objective)
+    rows = tuple((row, EQ, pi.matrix[t][s]) for t, row in enumerate(pi_prime.matrix))
+    return LinearProgram(objective, sense, rows, (True,) * n_sp)
 
 
 def _column_sum(pi: Experiment, pi_prime: Experiment, j: int, n_vars: int) -> list[Fraction]:
     """Coefficients of sum_s psi(s, s') at s' = j."""
-    coeffs = [Fraction(0)] * n_vars
-    for i in range(pi.n_signals):
-        coeffs[i * pi_prime.n_signals + j] = Fraction(1)
-    return coeffs
+    one, zero, n_sp = Fraction(1), Fraction(0), pi_prime.n_signals
+    return [one if k % n_sp == j and k < pi.n_signals * n_sp else zero for k in range(n_vars)]
 
 
-def _certify(pi: Experiment, pi_prime: Experiment, outcome: LpOutcome) -> GarblingCertificate:
-    """The verified certificate spelled out by an optimal psi program."""
-    if outcome.status != OPTIMAL:
-        raise InternalError(f"psi program expected optimal, got {outcome.status}")
+def _certify(pi: Experiment, pi_prime: Experiment, x: Sequence[Fraction]) -> GarblingCertificate:
+    """The verified certificate whose psi is the point ``x``, read signal-major."""
     n_sp = pi_prime.n_signals
-    psi = tuple(tuple(outcome.x[i * n_sp : (i + 1) * n_sp]) for i in range(pi.n_signals))
+    psi = tuple(tuple(x[i * n_sp : (i + 1) * n_sp]) for i in range(pi.n_signals))
     certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
     if not verify_certificate(certificate):
         raise InternalError("solver returned a non-verifying psi")
     return certificate
+
+
+def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
+    """Solve the blocks of the psi program in signal order, up to the first infeasible one.
+
+    Returns ``(True, x)``, the block points signal-major (zero at a null
+    signal of ``pi``, without a solve), or ``(False, table)``: the first
+    infeasible block's checked Farkas row, zero on every other row.  With
+    zero multipliers on any column rows it refutes the linked program too.
+    """
+    x: list[Fraction] = []
+    for s in range(pi.n_signals):
+        outcome = solve(_block(pi, pi_prime, s)) if any(row[s] for row in pi.matrix) else None
+        if outcome is not None and outcome.status == INFEASIBLE:
+            zeros = (Fraction(0),) * pi.n_states
+            return False, tuple(outcome.farkas if i == s else zeros for i in range(pi.n_signals))
+        x += outcome.x if outcome is not None else (Fraction(0),) * pi_prime.n_signals
+    return True, x
 
 
 def _decide(
@@ -216,18 +243,24 @@ def _decide(
     pi_prime: Experiment,
     columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]] | None,
 ) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
-    """Solve the psi feasibility program under ``columns`` once.
+    """Decide the psi feasibility program under ``columns``, its blocks first.
 
-    Returns the verified certificate when the program is feasible.
-    Otherwise entry [s][t] of the returned table is the multiplier y(s, t)
-    of the reproduction row at signal s of ``pi`` and state t, read off the
-    Farkas certificate that :func:`solve` has already checked.
+    Returns the verified certificate (the block points if ``columns`` is
+    None) when the program is feasible.  Otherwise entry [s][t] of the
+    returned table is the multiplier y(s, t) of the reproduction row at
+    signal s of ``pi`` and state t, read off the Farkas certificate, of a
+    block or else of the linked program, that :func:`solve` has checked.
     """
-    outcome = solve(_psi_program(pi, pi_prime, columns))
-    if outcome.status != INFEASIBLE:
-        return _certify(pi, pi_prime, outcome)
-    n = pi.n_states
-    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+    feasible, found = _relax(pi, pi_prime)
+    if not feasible:
+        return found
+    if columns is not None:
+        outcome = solve(_psi_program(pi, pi_prime, columns))
+        if outcome.status == INFEASIBLE:
+            n = pi.n_states
+            return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+        found = outcome.x
+    return _certify(pi, pi_prime, found)
 
 
 def check_weighted(
@@ -283,15 +316,20 @@ def min_size(
 
 
 def _min_size(
-    pi: Experiment, pi_prime: Experiment
+    pi: Experiment, pi_prime: Experiment, relaxed: bool = False
 ) -> tuple[LpOutcome, GarblingCertificate] | None:
-    """:func:`min_size`'s optimal outcome, dual included, and its witness."""
+    """:func:`min_size`'s optimal outcome, dual included, and its witness.
+
+    ``relaxed`` says that the caller has already found every block feasible.
+    """
+    if not (relaxed or _relax(pi, pi_prime)[0]):
+        return None
     objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
     columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
     outcome = solve(_psi_program(pi, pi_prime, columns, objective))
-    if outcome.status == INFEASIBLE:
-        return None
-    certificate = _certify(pi, pi_prime, outcome)
+    if outcome.status != OPTIMAL:
+        raise InternalError(f"min_size program expected optimal, got {outcome.status}")
+    certificate = _certify(pi, pi_prime, outcome.x)
     if certificate.beta != outcome.objective:
         raise InternalError("minimal size differs from the witness's size")
     return outcome, certificate
@@ -309,9 +347,9 @@ class SizeInterval:
     ``dual_min`` is the verified dual of :func:`min_size`'s program, one
     multiplier per row of ``_psi_program``: the reproduction rows
     signal-major, then one column-sum row per signal of ``pi_prime``.
-    ``dual_max[j]`` is the verified dual of the maximization of column
-    ``j``'s sum, one multiplier per reproduction row; the largest of those
-    maxima is ``beta_max``.  ``dual_max`` is None when ``beta_max`` is.
+    ``dual_max[j]`` is the dual of the maximization of column ``j``'s sum:
+    the block duals, signal-major, verified against the whole program.  The
+    largest of those maxima is ``beta_max``; ``dual_max`` is None when it is.
     """
 
     beta_min: Fraction
@@ -329,34 +367,40 @@ class SizeInterval:
 def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     """Compute the exact interval of achievable certificate sizes.
 
-    The lower endpoint comes from :func:`min_size`.  The upper endpoint
-    maximizes each column sum of psi separately; the overall maximum size
-    is the largest of these because a maximizing psi for one column keeps
-    every other column at or below its own maximum.
+    The blocks decide the order, and the lower endpoint comes from
+    :func:`min_size`.  The upper endpoint is None exactly when ``pi_prime``
+    has a null signal.  Otherwise column j's largest sum is the sum of
+    psi(s, j)'s maxima over the blocks s, and the largest size is the
+    largest of these: a maximizing psi for one column keeps every other
+    column at or below its own maximum.
     """
-    base = _min_size(pi, pi_prime)
-    if base is None:
+    n_s, n_sp = pi.n_signals, pi_prime.n_signals
+    bounded = all(any(row[j] for row in pi_prime.matrix) for j in range(n_sp))
+    if not (bounded or _relax(pi, pi_prime)[0]):
         return None
-    lowest, witness_min = base
-    n_vars = pi.n_signals * pi_prime.n_signals
-    columns: list[LpOutcome] | None = []
-    for j in range(pi_prime.n_signals):
-        objective = _column_sum(pi, pi_prime, j, n_vars)
-        outcome = solve(_psi_program(pi, pi_prime, objective=objective, sense="max"))
-        if outcome.status == INFEASIBLE:
-            raise InternalError("column maximization infeasible after min_size")
-        if outcome.status == UNBOUNDED:
-            columns = None
-            break
-        columns.append(outcome)
+    columns = []
+    for j in range(n_sp if bounded else 0):
+        objective = [Fraction(int(k == j)) for k in range(n_sp)]
+        blocks = [solve(_block(pi, pi_prime, s, objective, "max")) for s in range(n_s)]
+        statuses = {outcome.status for outcome in blocks}
+        if INFEASIBLE in statuses:  # already at j = 0: the blocks decide the order
+            return None
+        if statuses != {OPTIMAL}:
+            raise InternalError("a column maximization block is not optimal")
+        value = sum(outcome.objective for outcome in blocks)
+        dual = tuple(y for outcome in blocks for y in outcome.dual)
+        column_sum = _column_sum(pi, pi_prime, j, n_s * n_sp)
+        if not dual_verifies(_psi_program(pi, pi_prime, None, column_sum, "max"), dual, value):
+            raise InternalError("assembled block duals do not verify")
+        columns.append((value, dual, [v for outcome in blocks for v in outcome.x]))
+    lowest, witness_min = _min_size(pi, pi_prime, relaxed=True)
     beta_max = witness_max = dual_max = None
-    if columns is not None:
-        best = max(columns, key=lambda outcome: outcome.objective)
-        beta_max = best.objective
-        witness_max = _certify(pi, pi_prime, best)
+    if columns:
+        beta_max, _dual, x = max(columns, key=lambda column: column[0])
+        witness_max = _certify(pi, pi_prime, x)
         if not witness_max.beta == beta_max >= lowest.objective:
             raise InternalError("maximal size differs from the witness's size")
-        dual_max = tuple(outcome.dual for outcome in columns)
+        dual_max = tuple(column[1] for column in columns)
     return SizeInterval(
         beta_min=lowest.objective,
         beta_max=beta_max,

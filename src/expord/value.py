@@ -243,8 +243,11 @@ def falsify_bound(
     reproduction rows price the states: actions indexed by the diluted
     signals with payoffs u(a_s, t) = y(s, t) |states| under the uniform
     prior make the diluted experiment worth strictly more than
-    ``pi_prime``, a strict violation of the bound.  Payoffs are rescaled
-    into [-1, 1] and the violation is re-verified before returning.
+    ``pi_prime``, a strict violation of the bound.  Outside the order the
+    multipliers are one block's, a bet on a posterior of ``pi`` off the
+    hull of ``pi_prime``'s, so one problem refutes every beta: there V(P')
+    = V(null) = 0 < V(P) / beta.  Payoffs are rescaled into [-1, 1] and
+    the violation is re-verified before returning.
     """
     scale = as_rational(beta)
     if scale < 1:

@@ -16,6 +16,13 @@ the reweighted base experiment and rescaled the channel by the weight.
 ``blackwell_program`` states the Blackwell program independently of
 ``expord.order``, in the row order ``_psi_program`` documents.
 
+``psi_program``, ``column_sum``, ``certify``, ``decide``, ``check_weighted``,
+``check_blackwell_coupled``, ``min_size_outcome``, ``from_conditional_coupled``
+and ``size_interval`` are the bodies ``expord.order`` had before every psi
+decision solved its per-signal blocks first: each feasibility question
+solved the whole coupled program once, and ``size_interval`` maximized each
+column sum over the whole coupled program.
+
 ``check_conditional`` is the acceptance rule ``ConditionalExperiment`` had
 before it read the per-signal event probability off ``kernel()``: a bound
 scan, a mass scan and a separate ratio scan.  It must accept exactly the
@@ -28,10 +35,12 @@ from fractions import Fraction
 
 from expord.experiments import Experiment, _check_table, _require_shared_states, apply_weight
 from expord.numerics import (
-    EQ, INFEASIBLE, LE, OPTIMAL, InternalError, InvalidInput, linear_program, solve,
+    EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, InternalError, InvalidInput, as_rational,
+    linear_program, solve,
 )
 from expord.order import (
-    GarblingCertificate, OrderError, VerificationResult, check_blackwell, verify_certificate,
+    GarblingCertificate, OrderError, SizeInterval, VerificationResult, check_blackwell,
+    verify_certificate,
 )
 
 
@@ -169,3 +178,128 @@ def check_conditional(base: Experiment, event, alpha) -> None:
                 raise InvalidInput(
                     f"event likelihood ratio at signal {base.signals[j]!r} depends on the state"
                 )
+
+
+def psi_program(pi, pi_prime, columns=None, objective=None, sense="min"):
+    """The coupled psi program: reproduction rows signal-major, then column rows."""
+    _require_shared_states(pi, pi_prime)
+    n_sp = pi_prime.n_signals
+    if objective is None:
+        objective = [Fraction(0)] * (pi.n_signals * n_sp)
+    n_vars = len(objective)
+    rows = []
+    for i in range(pi.n_signals):
+        for t in range(pi.n_states):
+            coeffs = [Fraction(0)] * n_vars
+            coeffs[i * n_sp : (i + 1) * n_sp] = pi_prime.matrix[t]
+            rows.append((coeffs, EQ, pi.matrix[t][i]))
+    if columns is not None:
+        tail, relation, rhs = columns
+        for j in range(n_sp):
+            coeffs = column_sum(pi, pi_prime, j, n_vars)
+            coeffs[n_vars - len(tail) :] = tail
+            rows.append((coeffs, relation, rhs[j]))
+    return linear_program(objective, rows, sense=sense)
+
+
+def column_sum(pi, pi_prime, j, n_vars):
+    coeffs = [Fraction(0)] * n_vars
+    for i in range(pi.n_signals):
+        coeffs[i * pi_prime.n_signals + j] = Fraction(1)
+    return coeffs
+
+
+def certify(pi, pi_prime, outcome):
+    if outcome.status != OPTIMAL:
+        raise InternalError(f"psi program expected optimal, got {outcome.status}")
+    n_sp = pi_prime.n_signals
+    psi = tuple(tuple(outcome.x[i * n_sp : (i + 1) * n_sp]) for i in range(pi.n_signals))
+    certificate = GarblingCertificate(pi=pi, pi_prime=pi_prime, psi=psi)
+    if not verify_certificate(certificate):
+        raise InternalError("solver returned a non-verifying psi")
+    return certificate
+
+
+def decide(pi, pi_prime, columns):
+    """The verified certificate, or the Farkas table [signal of pi][state], of one coupled solve."""
+    outcome = solve(psi_program(pi, pi_prime, columns))
+    if outcome.status != INFEASIBLE:
+        return certify(pi, pi_prime, outcome)
+    n = pi.n_states
+    return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+
+
+def check_weighted(pi, pi_prime, max_size=None):
+    cap = None if max_size is None else as_rational(max_size)
+    if cap is not None and cap < 1:
+        raise InvalidInput("max_size must be at least 1")
+    columns = None if cap is None else ((), LE, (cap,) * pi_prime.n_signals)
+    certificate = decide(pi, pi_prime, columns)
+    if not isinstance(certificate, GarblingCertificate):
+        return None
+    if cap is not None and certificate.beta > cap:
+        raise InternalError("solver exceeded the requested size")
+    return certificate
+
+
+def check_blackwell_coupled(pi, pi_prime):
+    certificate = decide(pi, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+    return certificate if isinstance(certificate, GarblingCertificate) else None
+
+
+def from_conditional_coupled(conditional, pi):
+    gamma = tuple(k / conditional.alpha for k in conditional.kernel())
+    certificate = decide(pi, conditional.base, ((), EQ, gamma))
+    if not isinstance(certificate, GarblingCertificate):
+        raise OrderError(
+            "the experiment is not a Blackwell garbling of the "
+            "event-conditional distribution"
+        )
+    return certificate
+
+
+def min_size_outcome(pi, pi_prime):
+    """The optimal outcome of the coupled min_size program and its witness, or None."""
+    objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
+    columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
+    outcome = solve(psi_program(pi, pi_prime, columns, objective))
+    if outcome.status == INFEASIBLE:
+        return None
+    certificate = certify(pi, pi_prime, outcome)
+    if certificate.beta != outcome.objective:
+        raise InternalError("minimal size differs from the witness's size")
+    return outcome, certificate
+
+
+def size_interval(pi, pi_prime):
+    base = min_size_outcome(pi, pi_prime)
+    if base is None:
+        return None
+    lowest, witness_min = base
+    n_vars = pi.n_signals * pi_prime.n_signals
+    columns = []
+    for j in range(pi_prime.n_signals):
+        objective = column_sum(pi, pi_prime, j, n_vars)
+        outcome = solve(psi_program(pi, pi_prime, objective=objective, sense="max"))
+        if outcome.status == INFEASIBLE:
+            raise InternalError("column maximization infeasible after min_size")
+        if outcome.status == UNBOUNDED:
+            columns = None
+            break
+        columns.append(outcome)
+    beta_max = witness_max = dual_max = None
+    if columns is not None:
+        best = max(columns, key=lambda outcome: outcome.objective)
+        beta_max = best.objective
+        witness_max = certify(pi, pi_prime, best)
+        if not witness_max.beta == beta_max >= lowest.objective:
+            raise InternalError("maximal size differs from the witness's size")
+        dual_max = tuple(outcome.dual for outcome in columns)
+    return SizeInterval(
+        beta_min=lowest.objective,
+        beta_max=beta_max,
+        witness_min=witness_min,
+        witness_max=witness_max,
+        dual_min=lowest.dual,
+        dual_max=dual_max,
+    )

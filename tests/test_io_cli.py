@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -37,6 +38,7 @@ from expord import numerics
 from expord.cli import run
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     perfect_experiment,
     three_signal_family,
     uninformative_experiment,
@@ -417,6 +419,38 @@ class TestValueCommands:
         code, doc = invoke(capsys, "dilute", files["pi_low"], "--beta", "2")
         assert code == 0
         assert docs.experiment_from_doc(doc) == dilute(binary_symmetric("3/5"), 2)
+
+
+class TestBoundFalsifierPipedIntoVerify:
+    """Outside the order, each falsifier that bound-falsify prints fails bound-verify."""
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_unordered_corpus_pair(self, tmp_path, flags):
+        pi, pi_prime = next(
+            (pi, pi_prime) for pi, _prior, pi_prime in corpus_pairs(20250814, 60)
+            if check_weighted(pi, pi_prime) is None
+        )
+        paths = []
+        for name, experiment in (("pi", pi), ("pi_prime", pi_prime)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(docs.dump_document(docs.experiment_to_doc(experiment)))
+            paths.append(str(path))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(docs.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        command = [sys.executable, *flags, "-m", "expord.cli"]
+        for beta in ("1", "2", "4", "8"):
+            falsify = subprocess.run(
+                [*command, "bound-falsify", *paths, "--beta", beta],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert falsify.returncode == 1, falsify.stderr
+            verify = subprocess.run(
+                [*command, "bound-verify", "/dev/stdin", *paths, "--beta", beta],
+                input=falsify.stdout, env=env, capture_output=True, timeout=60,
+            )
+            assert verify.returncode == 1, verify.stderr
+            report = json.loads(verify.stdout)
+            assert report["holds"] is False and F(report["slack"]) < 0
 
 
 class TestDynamicsCommands:

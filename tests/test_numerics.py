@@ -190,6 +190,13 @@ class TestSolveExamples:
         with pytest.raises(InvalidInput):
             numerics.LinearProgram(objective=objective, sense="min", rows=(row,), nonneg=nonneg)
 
+    @pytest.mark.parametrize("nonneg", [["no"], [None], [1], [0], ["True"]])
+    def test_linear_program_refuses_a_flag_that_is_not_a_bool(self, nonneg):
+        # bool(flag) would turn "no" into True and None into False unseen.
+        assert linear_program([1], [([1], GE, 1)], nonneg=[False]).nonneg == (False,)
+        with pytest.raises(InvalidInput, match="nonneg flags must be bools"):
+            linear_program([1], [([1], GE, 1)], nonneg=nonneg)
+
     def test_program_without_rows(self):
         # With no rows the tableau still has one column per variable.
         out = solve(linear_program(objective=[-1], rows=[]))

@@ -35,10 +35,12 @@ from expord import (
     size_interval,
     to_conditional,
     validate_experiment,
+    verify_bound,
     verify_certificate,
 )
+import expord.order as order_module
 from expord.order import _decide
-from expord.numerics import EQ, dual_verifies
+from expord.numerics import EQ, LE, dual_verifies, farkas_verifies
 from expord.generators import (
     binary_symmetric,
     corpus_pairs,
@@ -105,8 +107,14 @@ class TestCheckBlackwell:
         assert check_blackwell(perfect_experiment(2), uninformative_experiment(2)) is None
 
     def test_state_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            check_blackwell(binary_symmetric("3/5"), perfect_experiment(3))
+        relabeled = validate_experiment([["4/5", "1/5"], ["1/5", "4/5"]], states=["x", "y"])
+        for pi, pi_prime in [
+            (binary_symmetric("3/5"), perfect_experiment(3)),
+            (binary_symmetric("3/5"), relabeled),
+        ]:
+            for decide in (check_blackwell, check_weighted, min_size, size_interval):
+                with pytest.raises(InvalidInput, match="must share state labels"):
+                    decide(pi, pi_prime)
 
 
 def blackwell_farkas(pi, pi_prime):
@@ -636,21 +644,154 @@ class TestOneDecisionAgainstParentBodies:
         assert compared > 1000 and zero_weights > 100 and 0 < refused < compared
 
     def test_falsify_bound_on_every_pair(self, corpus):
-        # Unordered pairs are refuted at every size; ordered ones hold from
-        # their minimal size on, which gives the Blackwell side its cases.
-        compared = refuted = 0
+        # Ordered pairs decide as the coupled solve did: they hold from their
+        # minimal size on, which gives the Blackwell side its cases.  Outside
+        # the order the first infeasible block refutes every size, with one
+        # Farkas row that the whole diluted Blackwell program accepts.
+        compared = refuted = outside = 0
         for pi, _prior, pi_prime in corpus:
+            ordered = check_weighted(pi, pi_prime) is not None
+            problems = []
             for beta in (1, 2, 4, 8):
                 diluted = dilute(pi, beta)
                 expected = reference_order.blackwell_farkas(diluted, pi_prime)
-                assert blackwell_farkas(diluted, pi_prime) == expected
+                table = blackwell_farkas(diluted, pi_prime)
+                if ordered:
+                    assert table == expected
                 problem = falsify_bound(pi, pi_prime, beta)
-                assert (problem is None) == (expected is None)
+                assert (problem is None) == (expected is None) == (table is None)
                 compared += 1
-                if expected is None:
+                if table is None:
                     continue
-                scaled = [[y * pi.n_states for y in row] for row in expected]
+                scaled = [[y * pi.n_states for y in row] for row in table]
                 peak = max(1, max(abs(v) for row in scaled for v in row))
                 assert problem.payoffs == tuple(tuple(v / peak for v in row) for row in scaled)
                 refuted += 1
-        assert compared == 2000 and 0 < refuted < compared
+                if ordered:
+                    continue
+                assert sum(any(row) for row in table) == 1
+                program = reference_order.blackwell_program(diluted, pi_prime)
+                assert farkas_verifies(program, _padded(table, pi_prime.n_signals))
+                report = verify_bound(problem, pi, pi_prime, beta)
+                assert report.value_prime == report.value_noinfo == 0 < report.value_pi / beta
+                assert not report.holds
+                problems.append(problem)
+            if not ordered:
+                assert len(problems) == 4 and all(p == problems[0] for p in problems)
+                outside += 1
+        assert compared == 2000 and 0 < refuted < compared and outside > 100
+
+
+# ----------------------------- the per-signal relaxation vs the coupled programs
+
+
+def _padded(table, n_columns):
+    return [y for row in table for y in row] + [F(0)] * n_columns
+
+
+class TestBlockRowRefutesTheLinkedPrograms:
+    """One infeasible block refutes the capped, Blackwell and min_size programs."""
+
+    def test_every_unordered_corpus_pair(self):
+        outside = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
+            n_sp = pi_prime.n_signals
+            table = _decide(pi, pi_prime, None)
+            if isinstance(table, GarblingCertificate):
+                continue
+            outside += 1
+            assert sum(any(row) for row in table) == 1
+            capped = ((), LE, (F(2),) * n_sp)
+            blackwell = ((), EQ, (F(1),) * n_sp)
+            assert _decide(pi, pi_prime, capped) == _decide(pi, pi_prime, blackwell) == table
+            lowest, _ = reference_order.size_interval_programs(pi, pi_prime, 0)
+            for program in (
+                reference_order.psi_program(pi, pi_prime, capped),
+                reference_order.blackwell_program(pi, pi_prime),
+                lowest,
+            ):
+                assert farkas_verifies(program, _padded(table, n_sp))
+            moved = [[y + 1 for y in row] for row in table]
+            assert not farkas_verifies(lowest, _padded(moved, n_sp))
+            assert check_weighted(pi, pi_prime, 2) is None and min_size(pi, pi_prime) is None
+            assert check_blackwell(pi, pi_prime) is None and size_interval(pi, pi_prime) is None
+        assert outside > 100
+
+
+def _psi(certificate):
+    return None if certificate is None else certificate.psi
+
+
+def _interval_fields(interval):
+    if interval is None:
+        return None
+    return (
+        interval.beta_min, interval.beta_max, interval.witness_min.psi,
+        _psi(interval.witness_max), interval.dual_min, interval.dual_max,
+    )
+
+
+class TestRelaxationAgainstCoupledBodies:
+    """Every answer matches the coupled bodies kept in ``reference_order``."""
+
+    @pytest.mark.parametrize("seed, count", [(20250814, 500), (1, 300), (2, 300)])
+    def test_corpus(self, seed, count):
+        ordered = bounded = 0
+        for pi, _prior, pi_prime in corpus_pairs(seed, count):
+            found = check_weighted(pi, pi_prime)
+            assert _psi(found) == _psi(reference_order.check_weighted(pi, pi_prime))
+            interval = size_interval(pi, pi_prime)
+            assert _interval_fields(interval) == _interval_fields(
+                reference_order.size_interval(pi, pi_prime)
+            )
+            sized = min_size(pi, pi_prime)
+            conditional = to_conditional(pi_prime, make_weight(pi_prime, [1] * pi_prime.n_signals))
+            recovered = _recovery(conditional, pi, from_conditional)
+            if found is None:
+                assert check_blackwell(pi, pi_prime) is None and sized is None
+                assert check_weighted(pi, pi_prime, 2) is None
+                assert recovered == _recovery(
+                    conditional, pi, reference_order.from_conditional_coupled
+                )
+                continue
+            ordered += 1
+            bounded += interval.beta_max is not None
+            assert _psi(check_blackwell(pi, pi_prime)) == _psi(
+                reference_order.check_blackwell_coupled(pi, pi_prime)
+            )
+            assert _psi(check_weighted(pi, pi_prime, 2)) == _psi(
+                reference_order.check_weighted(pi, pi_prime, 2)
+            )
+            outcome, witness = reference_order.min_size_outcome(pi, pi_prime)
+            assert sized == (outcome.objective, witness)
+            assert recovered == _recovery(
+                conditional, pi, reference_order.from_conditional_coupled
+            )
+        assert 0 < bounded < ordered < count
+
+
+class TestNoCoupledSolveForTheOrder:
+    """The uncapped decision and the beta_max maximizations solve blocks only."""
+
+    def test_solve_spy(self, monkeypatch):
+        seen = []
+        real_solve = order_module.solve
+
+        def spy(lp):
+            seen.append((len(lp.rows), lp.sense))
+            return real_solve(lp)
+
+        monkeypatch.setattr(order_module, "solve", spy)
+        maximized = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
+            seen.clear()
+            found = check_weighted(pi, pi_prime)
+            assert seen and all(rows <= pi.n_states for rows, _sense in seen)
+            if found is None:
+                continue
+            seen.clear()
+            size_interval(pi, pi_prime)
+            maxima = [rows for rows, sense in seen if sense == "max"]
+            assert all(rows <= pi.n_states for rows in maxima)
+            maximized += len(maxima)
+        assert maximized > 100
