@@ -20,6 +20,14 @@ largest size maximizes each column sum block by block.  Every answer carries
 evidence either way: a certificate that verifies by substitution, or the
 verified Farkas multipliers of the reproduction rows.  A certificate that
 fails its own check raises :class:`InternalError`.
+
+The module remembers the last pair it was asked about, by identity: its
+block decision and, once asked for, its minimal-size outcome.  Every
+question about that pair reads them instead of solving again, and still
+builds and verifies its own certificate.  A different pair, even an equal
+one, replaces the entry, and an exception is never remembered.
+``value.falsify_bound`` reads its refutation outside the order off the
+same blocks.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from .numerics import (
     LpOutcome,
     RationalLike,
     _clear_denominators,
+    _dual_value,
     as_rational,
-    dual_verifies,
     solve,
 )
 
@@ -220,6 +228,13 @@ def _certify(pi: Experiment, pi_prime: Experiment, x: Sequence[Fraction]) -> Gar
     return certificate
 
 
+# The last pair asked about, by identity: (pi, pi_prime, its _relax result,
+# its min_size outcome or None).  One tuple, rebound in one assignment, so a
+# concurrent reader sees one pair's entry whole; it holds both experiments,
+# so their ids cannot be reused while it lives.
+_last: tuple = (None, None, None, None)
+
+
 def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
     """Solve the blocks of the psi program in signal order, up to the first infeasible one.
 
@@ -227,15 +242,24 @@ def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
     signal of ``pi``, without a solve), or ``(False, table)``: the first
     infeasible block's checked Farkas row, zero on every other row.  With
     zero multipliers on any column rows it refutes the linked program too.
+    The answer is remembered while the pair is the last one asked about.
     """
+    global _last
+    entry = _last
+    if entry[0] is pi and entry[1] is pi_prime:
+        return entry[2]
     x: list[Fraction] = []
     for s in range(pi.n_signals):
         outcome = solve(_block(pi, pi_prime, s)) if any(row[s] for row in pi.matrix) else None
         if outcome is not None and outcome.status == INFEASIBLE:
             zeros = (Fraction(0),) * pi.n_states
-            return False, tuple(outcome.farkas if i == s else zeros for i in range(pi.n_signals))
+            found = False, tuple(outcome.farkas if i == s else zeros for i in range(pi.n_signals))
+            break
         x += outcome.x if outcome is not None else (Fraction(0),) * pi_prime.n_signals
-    return True, x
+    else:
+        found = True, tuple(x)
+    _last = (pi, pi_prime, found, None)
+    return found
 
 
 def _decide(
@@ -254,13 +278,20 @@ def _decide(
     feasible, found = _relax(pi, pi_prime)
     if not feasible:
         return found
-    if columns is not None:
-        outcome = solve(_psi_program(pi, pi_prime, columns))
-        if outcome.status == INFEASIBLE:
-            n = pi.n_states
-            return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
-        found = outcome.x
-    return _certify(pi, pi_prime, found)
+    return _certify(pi, pi_prime, found) if columns is None else _link(pi, pi_prime, columns)
+
+
+def _link(
+    pi: Experiment,
+    pi_prime: Experiment,
+    columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]],
+) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
+    """:func:`_decide` past feasible blocks: one solve of the linked program."""
+    outcome = solve(_psi_program(pi, pi_prime, columns))
+    if outcome.status == INFEASIBLE:
+        n = pi.n_states
+        return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+    return _certify(pi, pi_prime, outcome.x)
 
 
 def check_weighted(
@@ -316,19 +347,26 @@ def min_size(
 
 
 def _min_size(
-    pi: Experiment, pi_prime: Experiment, relaxed: bool = False
+    pi: Experiment, pi_prime: Experiment
 ) -> tuple[LpOutcome, GarblingCertificate] | None:
     """:func:`min_size`'s optimal outcome, dual included, and its witness.
 
-    ``relaxed`` says that the caller has already found every block feasible.
+    The outcome is solved once while the pair is the last one asked about;
+    every call certifies it afresh.
     """
-    if not (relaxed or _relax(pi, pi_prime)[0]):
+    global _last
+    relaxed = _relax(pi, pi_prime)
+    if not relaxed[0]:
         return None
-    objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
-    columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
-    outcome = solve(_psi_program(pi, pi_prime, columns, objective))
-    if outcome.status != OPTIMAL:
-        raise InternalError(f"min_size program expected optimal, got {outcome.status}")
+    entry = _last
+    outcome = entry[3] if entry[0] is pi and entry[1] is pi_prime else None
+    if outcome is None:
+        objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
+        columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
+        outcome = solve(_psi_program(pi, pi_prime, columns, objective))
+        if outcome.status != OPTIMAL:
+            raise InternalError(f"min_size program expected optimal, got {outcome.status}")
+        _last = (pi, pi_prime, relaxed, outcome)
     certificate = _certify(pi, pi_prime, outcome.x)
     if certificate.beta != outcome.objective:
         raise InternalError("minimal size differs from the witness's size")
@@ -374,26 +412,26 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     largest of these: a maximizing psi for one column keeps every other
     column at or below its own maximum.
     """
+    if not _relax(pi, pi_prime)[0]:
+        return None
     n_s, n_sp = pi.n_signals, pi_prime.n_signals
     bounded = all(any(row[j] for row in pi_prime.matrix) for j in range(n_sp))
-    if not (bounded or _relax(pi, pi_prime)[0]):
-        return None
+    # The rows are the same for every column: each dual is checked against them
+    # with its column's objective, by the test dual_verifies runs for a max program.
+    program = _psi_program(pi, pi_prime) if bounded else None
     columns = []
     for j in range(n_sp if bounded else 0):
         objective = [Fraction(int(k == j)) for k in range(n_sp)]
         blocks = [solve(_block(pi, pi_prime, s, objective, "max")) for s in range(n_s)]
-        statuses = {outcome.status for outcome in blocks}
-        if INFEASIBLE in statuses:  # already at j = 0: the blocks decide the order
-            return None
-        if statuses != {OPTIMAL}:
+        if any(outcome.status != OPTIMAL for outcome in blocks):
             raise InternalError("a column maximization block is not optimal")
         value = sum(outcome.objective for outcome in blocks)
         dual = tuple(y for outcome in blocks for y in outcome.dual)
         column_sum = _column_sum(pi, pi_prime, j, n_s * n_sp)
-        if not dual_verifies(_psi_program(pi, pi_prime, None, column_sum, "max"), dual, value):
+        if _dual_value(program, dual, column_sum, sign=-1) != -value:
             raise InternalError("assembled block duals do not verify")
         columns.append((value, dual, [v for outcome in blocks for v in outcome.x]))
-    lowest, witness_min = _min_size(pi, pi_prime, relaxed=True)
+    lowest, witness_min = _min_size(pi, pi_prime)
     beta_max = witness_max = dual_max = None
     if columns:
         beta_max, _dual, x = max(columns, key=lambda column: column[0])

@@ -47,8 +47,9 @@ from .numerics import (
     InvalidInput,
     RationalLike,
     as_rational,
+    farkas_verifies,
 )
-from .order import GarblingCertificate, _decide, verify_certificate
+from .order import GarblingCertificate, _block, _link, _relax, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -246,16 +247,30 @@ def falsify_bound(
     ``pi_prime``, a strict violation of the bound.  Outside the order the
     multipliers are one block's, a bet on a posterior of ``pi`` off the
     hull of ``pi_prime``'s, so one problem refutes every beta: there V(P')
-    = V(null) = 0 < V(P) / beta.  Payoffs are rescaled into [-1, 1] and
-    the violation is re-verified before returning.
+    = V(null) = 0 < V(P) / beta.  That row is read off the undiluted
+    pair's blocks, which the order module remembers for the last pair
+    asked about, and checked against the diluted block by substitution.
+    Payoffs are rescaled into [-1, 1] and the violation is re-verified
+    before returning.
     """
     scale = as_rational(beta)
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
     diluted = dilute(pi, scale)
-    farkas = _decide(diluted, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
-    if isinstance(farkas, GarblingCertificate):
-        return None
+    feasible, farkas = _relax(pi, pi_prime)
+    if feasible:
+        # The diluted blocks are pi's at 1/beta of the mass, and a null block
+        # that pi_prime's signals sum to: all feasible, so the linked program decides.
+        farkas = _link(diluted, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+        if isinstance(farkas, GarblingCertificate):
+            return None
+    else:
+        # Scaling block s's right-hand side by 1/beta keeps its Farkas row;
+        # the null signal's row is zero.
+        s = next(i for i, row in enumerate(farkas) if any(row))
+        if not farkas_verifies(_block(diluted, pi_prime, s), farkas[s]):
+            raise InternalError("the block's Farkas row does not refute its diluted block")
+        farkas += ((Fraction(0),) * pi.n_states,)
     n_states = pi.n_states
     payoffs = [tuple(y * n_states for y in row) for row in farkas]
     peak = max(abs(entry) for row in payoffs for entry in row)
@@ -287,14 +302,16 @@ def random_decision_problem(
     if n_actions < 1 or n_states < 1 or denominator_bound < 1:
         raise InvalidInput("counts and the denominator bound must be positive")
     rng = random.Random(seed)
+    # randrange(n) draws as randint does, with less argument handling.
+    draw = rng.randrange
     payoffs = tuple(
         tuple(
-            Fraction(rng.randint(-q, q), q)
-            for q in (rng.randint(1, denominator_bound) for _ in range(n_states))
+            Fraction(draw(2 * q + 1) - q, q)
+            for q in (1 + draw(denominator_bound) for _ in range(n_states))
         )
         for _ in range(n_actions)
     )
-    raw = [rng.randint(1, denominator_bound) for _ in range(n_states)]
+    raw = [1 + draw(denominator_bound) for _ in range(n_states)]
     total = sum(raw)
     weights = tuple(Fraction(w, total) for w in raw)
     return DecisionProblem(

@@ -23,6 +23,12 @@ decision solved its per-signal blocks first: each feasibility question
 solved the whole coupled program once, and ``size_interval`` maximized each
 column sum over the whole coupled program.
 
+``relax`` and ``falsify_bound`` are the bodies ``expord.order._relax`` and
+``expord.value.falsify_bound`` had before the order module remembered the
+last pair it was asked about: every call solved its blocks again, and the
+falsifier decided the diluted pair, its blocks first and then the linked
+Blackwell program.
+
 ``check_conditional`` is the acceptance rule ``ConditionalExperiment`` had
 before it read the per-signal event probability off ``kernel()``: a bound
 scan, a mass scan and a separate ratio scan.  It must accept exactly the
@@ -33,7 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from expord.experiments import Experiment, _check_table, _require_shared_states, apply_weight
+from expord.experiments import (
+    DecisionProblem, Experiment, Prior, _check_table, _require_shared_states, apply_weight,
+    dilute,
+)
 from expord.numerics import (
     EQ, INFEASIBLE, LE, OPTIMAL, UNBOUNDED, InternalError, InvalidInput, as_rational,
     linear_program, solve,
@@ -227,6 +236,43 @@ def decide(pi, pi_prime, columns):
         return certify(pi, pi_prime, outcome)
     n = pi.n_states
     return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+
+
+def relax(pi, pi_prime):
+    """Solve pi's blocks in signal order: ``(True, points)`` or ``(False, Farkas table)``."""
+    x = []
+    for s in range(pi.n_signals):
+        if not any(row[s] for row in pi.matrix):
+            x += [Fraction(0)] * pi_prime.n_signals
+            continue
+        rows = [(row, EQ, pi.matrix[t][s]) for t, row in enumerate(pi_prime.matrix)]
+        outcome = solve(linear_program([0] * pi_prime.n_signals, rows))
+        if outcome.status == INFEASIBLE:
+            zeros = (Fraction(0),) * pi.n_states
+            return False, tuple(outcome.farkas if i == s else zeros for i in range(pi.n_signals))
+        x += outcome.x
+    return True, tuple(x)
+
+
+def falsify_bound(pi, pi_prime, beta):
+    """The violating problem built from the diluted pair's own decision, or None."""
+    scale = as_rational(beta)
+    diluted = dilute(pi, scale)
+    feasible, farkas = relax(diluted, pi_prime)
+    if feasible:
+        farkas = decide(diluted, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+        if isinstance(farkas, GarblingCertificate):
+            return None
+    n_states = pi.n_states
+    payoffs = [tuple(y * n_states for y in row) for row in farkas]
+    peak = max(abs(entry) for row in payoffs for entry in row)
+    if peak > 1:
+        payoffs = [tuple(entry / peak for entry in row) for row in payoffs]
+    return DecisionProblem(
+        actions=tuple(f"a_{signal}" for signal in diluted.signals),
+        payoffs=tuple(payoffs),
+        prior=Prior(weights=tuple(Fraction(1, n_states) for _ in range(n_states))),
+    )
 
 
 def check_weighted(pi, pi_prime, max_size=None):

@@ -11,6 +11,8 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ import expord
 
 from expord import (
     ConditionalExperiment,
+    Experiment,
     GarblingCertificate,
     InvalidInput,
     OrderError,
@@ -39,7 +42,7 @@ from expord import (
     verify_certificate,
 )
 import expord.order as order_module
-from expord.order import _decide
+from expord.order import _block, _decide
 from expord.numerics import EQ, LE, dual_verifies, farkas_verifies
 from expord.generators import (
     binary_symmetric,
@@ -795,3 +798,125 @@ class TestNoCoupledSolveForTheOrder:
             assert all(rows <= pi.n_states for rows in maxima)
             maximized += len(maxima)
         assert maximized > 100
+
+
+# ------------------------------------------------ the memo of the last pair asked
+
+
+def _copy(experiment):
+    return Experiment(states=experiment.states, signals=experiment.signals, matrix=experiment.matrix)
+
+
+def _sized(found):
+    return None if found is None else (found[0], found[1].psi)
+
+
+# The questions a corpus-order item asks of one pair, each reduced to what it
+# answers: every psi, size, witness, dual and falsifier.
+QUESTIONS = {
+    "weighted": lambda pi, pi_prime: _psi(check_weighted(pi, pi_prime)),
+    "capped": lambda pi, pi_prime: _psi(check_weighted(pi, pi_prime, 2)),
+    "blackwell": lambda pi, pi_prime: _psi(check_blackwell(pi, pi_prime)),
+    "min_size": lambda pi, pi_prime: _sized(min_size(pi, pi_prime)),
+    "interval": lambda pi, pi_prime: _interval_fields(size_interval(pi, pi_prime)),
+    "falsifiers": lambda pi, pi_prime: tuple(
+        falsify_bound(pi, pi_prime, beta) for beta in (1, 2, 4, 8)
+    ),
+}
+
+
+def _ask(pi, pi_prime, names, fresh=False):
+    """Each named question about the pair, on fresh equal copies if ``fresh``."""
+    answers = {}
+    for name in names:
+        pair = (_copy(pi), _copy(pi_prime)) if fresh else (pi, pi_prime)
+        answers[name] = QUESTIONS[name](*pair)
+    return answers
+
+
+class TestLastPairMemo:
+    """Answers read from the memo are those of a pair decided from scratch."""
+
+    def test_any_order_and_fresh_copies_agree(self):
+        names = list(QUESTIONS)
+        short = ["min_size", "weighted", "capped"]
+        ordered = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
+            # Each of these shares one object, in the same role, with the pair
+            # asked about just before it, so a key that read only one role
+            # would answer it from the wrong entry.
+            others = ((pi, pi), (pi_prime, pi), (pi_prime, pi_prime))
+            fresh = _ask(pi, pi_prime, names, fresh=True)
+            expected = [_ask(*other, short, fresh=True) for other in others]
+            assert _ask(pi, pi_prime, names) == fresh
+            assert _ask(pi, pi_prime, names[::-1]) == fresh
+            assert [_ask(*other, short) for other in others] == expected
+            ordered += fresh["weighted"] is not None
+        assert 100 < ordered < 500
+
+    def test_each_block_and_the_min_size_program_solve_once(self, monkeypatch):
+        seen = []
+        real_solve = order_module.solve
+
+        def spy(lp):
+            seen.append(lp)
+            return real_solve(lp)
+
+        monkeypatch.setattr(order_module, "solve", spy)
+        ordered = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
+            seen.clear()
+            if check_weighted(pi, pi_prime) is None:
+                continue
+            ordered += 1
+            check_blackwell(pi, pi_prime)
+            min_size(pi, pi_prime)
+            size_interval(pi, pi_prime)
+            n_s, n_sp = pi.n_signals, pi_prime.n_signals
+            blocks = [lp for lp in seen if lp.sense == "min" and lp.n_variables == n_sp]
+            expected = [
+                _block(pi, pi_prime, s) for s in range(n_s) if any(row[s] for row in pi.matrix)
+            ]
+            assert blocks == expected
+            assert sum(lp.n_variables == n_s * n_sp + 1 for lp in seen) == 1
+        assert ordered > 30
+
+    def test_the_previous_pair_is_released(self):
+        pi, pi_prime = binary_symmetric("3/5"), three_signal_family("4/5")
+        refs = [weakref.ref(pi), weakref.ref(pi_prime)]
+        assert min_size(pi, pi_prime) is not None
+        del pi, pi_prime
+        assert all(ref() is not None for ref in refs)
+        assert check_weighted(binary_symmetric("4/5"), three_signal_family("9/10")) is not None
+        assert all(ref() is None for ref in refs)
+
+    def test_threads_sharing_the_memo_get_their_own_pairs_answers(self):
+        # Threads that interleave questions about different pairs can only
+        # replace each other's entry, never read it as their own.
+        pairs = [(pi, pi_prime) for pi, _prior, pi_prime in corpus_pairs(20250814, 40)]
+        names = ["weighted", "min_size", "interval"]
+        expected = [_ask(pi, pi_prime, names, fresh=True) for pi, pi_prime in pairs]
+        wrong = []
+
+        def worker(seed):
+            order = list(range(len(pairs)))
+            random.Random(seed).shuffle(order)
+            for k in order * 2:
+                try:
+                    if _ask(*pairs[k], names) != expected[k]:
+                        wrong.append(k)
+                except Exception as error:  # in a thread it would only warn
+                    wrong.append((k, repr(error)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not wrong

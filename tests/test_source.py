@@ -12,6 +12,10 @@ No module contains a float literal or the name ``float``: every number the
 library computes with is exact.  ``random.Random.random()`` in
 ``generators.random_lp`` is the one float it touches, and only to draw a
 ``bool``; it is neither a literal nor the name.
+
+No module uses ``functools.lru_cache`` or ``functools.cache``.  An unbounded
+cache would let a benchmark's repeated passes time cache hits instead of
+work; the one memo the library keeps holds one entry, keyed by identity.
 """
 
 import ast
@@ -66,3 +70,19 @@ def test_no_float_literals_or_float_name(path):
         or isinstance(node, ast.Name) and node.id == "float"
     ]
     assert not lines, f"{path.name} uses floats at lines {lines}"
+
+
+BANNED_CACHES = {"lru_cache", "cache"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_functools_caches(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        and any(alias.name in BANNED_CACHES for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in BANNED_CACHES
+        and isinstance(node.value, ast.Name) and node.value.id == "functools"
+    ]
+    assert not lines, f"{path.name} uses a functools cache at lines {lines}"

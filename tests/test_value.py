@@ -1,5 +1,6 @@
 """Decision-problem values, the size-beta payoff bound, and its falsifier."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from expord import (
     Prior,
     check_blackwell,
     decision_problem,
+    dilute,
     falsify_bound,
     min_size,
     mixed_strategy_payoff,
@@ -28,6 +30,8 @@ from expord import (
     verify_bound,
 )
 from expord import documents as docs
+import expord.order as order_module
+from expord.numerics import farkas_verifies
 from expord.generators import (
     binary_symmetric,
     corpus_pairs,
@@ -35,6 +39,7 @@ from expord.generators import (
     three_signal_family,
     uninformative_experiment,
 )
+import reference_order
 from reference_value import (
     reference_best_response,
     reference_mixed_strategy_payoff,
@@ -206,10 +211,36 @@ class TestFalsifyBound:
         assert all(abs(u) <= 1 for row in problem.payoffs for u in row)
         assert problem.prior.weights == (F(1, 2), F(1, 2))
 
+    def test_outside_the_order_it_reads_the_undiluted_blocks(self):
+        # The diluted pair's own decision gives the same problem at every
+        # beta, and the undiluted Farkas table, padded with a zero row for
+        # the null signal, refutes the whole diluted Blackwell program.
+        outside = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
+            for beta in (1, 2, 4, 8):
+                problem = falsify_bound(pi, pi_prime, beta)
+                assert problem == reference_order.falsify_bound(pi, pi_prime, beta)
+                feasible, table = order_module._relax(pi, pi_prime)
+                if feasible:
+                    continue
+                outside += 1
+                padded = [y for row in table for y in row]
+                padded += [F(0)] * (pi.n_states + pi_prime.n_signals)
+                program = reference_order.blackwell_program(dilute(pi, beta), pi_prime)
+                assert farkas_verifies(program, padded)
+        assert outside > 400
+
 
 class TestRandomDecisionProblem:
     def test_deterministic_in_seed(self):
         assert random_decision_problem(7, 3, 2) == random_decision_problem(7, 3, 2)
+
+    def test_draws_are_pinned(self):
+        problems = [
+            random_decision_problem(20250814 + k, 2 + k % 3, 2 + k % 3) for k in range(2000)
+        ]
+        text = repr([(p.actions, p.payoffs, p.prior.weights) for p in problems])
+        assert hashlib.md5(text.encode()).hexdigest() == "181a63aa970b172417498a418f2bece0"
 
     def test_payoffs_bounded(self):
         for seed in range(100):
