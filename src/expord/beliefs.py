@@ -214,9 +214,11 @@ class CouplingCertificate:
     """A joint distribution over posterior pairs certifying the order.
 
     Rows index atoms of the coarser experiment's posterior distribution,
-    columns atoms of the finer one's (after regularization).  Semantic
-    validity is checked by :func:`verify_coupling`, not at construction, so
-    broken couplings can be built and examined.
+    columns atoms of the finer one's (after regularization).  Construction
+    checks the shape alone: at least one atom on each side, each atom belief
+    a belief over the prior's states with a positive Fraction probability,
+    and a table of Fractions.  Semantic validity is checked by
+    :func:`verify_coupling`, so broken couplings can be built and examined.
     """
 
     prior: Prior
@@ -225,6 +227,14 @@ class CouplingCertificate:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        n = len(self.prior.weights)
+        for side, atoms in (("pi", self.pi_atoms), ("pi_prime", self.pi_prime_atoms)):
+            if not atoms:
+                raise InvalidInput(f"a coupling needs at least one {side} atom")
+            for atom in atoms:
+                _check_distribution(atom.belief, n, f"{side} atom belief")
+                if not (isinstance(atom.probability, Fraction) and atom.probability > 0):
+                    raise InvalidInput(f"{side} atom probability must be a positive Fraction")
         _check_table(
             self.matrix, len(self.pi_atoms), len(self.pi_prime_atoms), "coupling matrix"
         )
@@ -288,12 +298,13 @@ def verify_coupling(
 ) -> CouplingVerification:
     """Re-check the three coupling properties against the experiments.
 
-    Conditions: the stored atom lists equal the recomputed posterior
-    distributions; the first marginal matches the atom probabilities of
-    ``pi``; each row's barycenter is its own atom's belief; mass is
-    nonnegative and totals one.  The realized size (largest column mass to
-    column probability ratio) is reported; it is finite whenever the mass
-    sits on the stored atoms, which all have positive probability.
+    Construction has checked the coupling's shape; everything else is
+    checked here.  Conditions: the stored atom lists equal the recomputed
+    posterior distributions; the first marginal matches the atom
+    probabilities of ``pi``; each row's barycenter is its own atom's belief;
+    mass is nonnegative and totals one.  The realized size (largest column
+    mass to column probability ratio) is reported; it is finite, since
+    construction requires every atom probability to be positive.
     """
     violations: list[str] = []
     source = posteriors(pi, mu0)

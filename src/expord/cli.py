@@ -1,6 +1,8 @@
 """Command-line surface binding the library into a certified comparison tool.
 
-Commands read UTF-8 JSON documents whose numbers are exact rational strings.
+Commands read UTF-8 JSON documents whose numbers are exact rational strings,
+each through :func:`expord.documents.load_document` with the kind it needs, so
+a file of another kind is invalid input refused by its ``kind`` field.
 Each handler returns its exit code and one JSON document, and :func:`run`
 prints that document, the only write to stdout.  Exit codes follow one contract
 everywhere: 0 means the queried relation holds or the computation succeeded,
@@ -27,14 +29,13 @@ from .beliefs import (
     verify_coupling,
 )
 from .dynamics import (
-    MarkovChain,
     StoppingProblem,
     counterexample,
     eta_limit,
     merging_horizon,
     stopping_value,
 )
-from .experiments import DecisionProblem, Experiment, Prior, dilute
+from .experiments import Prior, dilute
 from .numerics import (
     INFEASIBLE,
     OPTIMAL,
@@ -48,8 +49,6 @@ from .numerics import (
     solve,
 )
 from .order import (
-    ConditionalExperiment,
-    GarblingCertificate,
     OrderError,
     check_blackwell,
     check_weighted,
@@ -80,25 +79,9 @@ def _parse_prior(text: str) -> Prior:
     return Prior(weights=_parse_vector(text, "prior"))
 
 
-_KINDS = {
-    Experiment: "experiment",
-    MarkovChain: "chain",
-    DecisionProblem: "decision_problem",
-    GarblingCertificate: "certificate",
-    ConditionalExperiment: "conditional_experiment",
-}
-
-
-def _load(filename: str, expected: type):
-    loaded = docs.load_document(filename)
-    if not isinstance(loaded, expected):
-        raise InvalidInput(f"{filename}: expected a {_KINDS[expected]} document")
-    return loaded
-
-
 def _cmd_check(args) -> tuple[int, dict]:
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     if args.relation == "blackwell":
         certificate = check_blackwell(pi, pi_prime)
     else:
@@ -113,8 +96,8 @@ def _cmd_check(args) -> tuple[int, dict]:
 
 
 def _cmd_size_interval(args) -> tuple[int, dict]:
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     interval = size_interval(pi, pi_prime)
     if interval is None:
         return 1, _report(
@@ -147,18 +130,18 @@ def _cmd_size_interval(args) -> tuple[int, dict]:
 
 
 def _cmd_compose(args) -> tuple[int, dict]:
-    inner = _load(args.inner, GarblingCertificate)
-    outer = _load(args.outer, GarblingCertificate)
+    inner = docs.load_document(args.inner, "certificate")
+    outer = docs.load_document(args.outer, "certificate")
     return 0, docs.certificate_to_doc(compose(inner, outer))
 
 
 def _cmd_conditional(args) -> tuple[int, dict]:
     if args.direction == "to":
-        certificate = _load(args.certificate, GarblingCertificate)
+        certificate = docs.load_document(args.certificate, "certificate")
         conditional = to_conditional(certificate.pi_prime, certificate.weight())
         return 0, docs.conditional_to_doc(conditional)
-    conditional = _load(args.conditional, ConditionalExperiment)
-    pi = _load(args.pi, Experiment)
+    conditional = docs.load_document(args.conditional, "conditional_experiment")
+    pi = docs.load_document(args.pi, "experiment")
     try:
         certificate = from_conditional(conditional, pi)
     except OrderError as error:
@@ -167,7 +150,7 @@ def _cmd_conditional(args) -> tuple[int, dict]:
 
 
 def _cmd_posteriors(args) -> tuple[int, dict]:
-    experiment = _load(args.experiment, Experiment)
+    experiment = docs.load_document(args.experiment, "experiment")
     mu0 = _parse_prior(args.prior)
     distribution = posteriors(experiment, mu0)
     return 0, _report(
@@ -200,8 +183,8 @@ def _cmd_hull_check(args) -> tuple[int, dict]:
 
 
 def _cmd_beliefs_check(args) -> tuple[int, dict]:
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     mu0 = _parse_prior(args.prior)
     coupling = check_weighted_beliefs(pi, pi_prime, mu0)
     if coupling is None:
@@ -217,8 +200,8 @@ def _cmd_beliefs_check(args) -> tuple[int, dict]:
 
 
 def _cmd_value(args) -> tuple[int, dict]:
-    problem = _load(args.problem, DecisionProblem)
-    experiment = _load(args.experiment, Experiment)
+    problem = docs.load_document(args.problem, "decision_problem")
+    experiment = docs.load_document(args.experiment, "experiment")
     total, table = value(problem, experiment)
     return 0, _report(
         "value",
@@ -228,9 +211,9 @@ def _cmd_value(args) -> tuple[int, dict]:
 
 
 def _cmd_bound_verify(args) -> tuple[int, dict]:
-    problem = _load(args.problem, DecisionProblem)
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    problem = docs.load_document(args.problem, "decision_problem")
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     report = verify_bound(problem, pi, pi_prime, parse_rational(args.beta))
     return (0 if report.holds else 1), _report(
         "bound-verify",
@@ -244,8 +227,8 @@ def _cmd_bound_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_bound_falsify(args) -> tuple[int, dict]:
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     problem = falsify_bound(pi, pi_prime, parse_rational(args.beta))
     if problem is None:
         return 0, _report(
@@ -257,13 +240,13 @@ def _cmd_bound_falsify(args) -> tuple[int, dict]:
 
 
 def _cmd_dilute(args) -> tuple[int, dict]:
-    experiment = _load(args.experiment, Experiment)
+    experiment = docs.load_document(args.experiment, "experiment")
     return 0, docs.experiment_to_doc(dilute(experiment, parse_rational(args.beta)))
 
 
 def _cmd_eta(args) -> tuple[int, dict]:
-    experiment = _load(args.experiment, Experiment)
-    chain = _load(args.chain, MarkovChain)
+    experiment = docs.load_document(args.experiment, "experiment")
+    chain = docs.load_document(args.chain, "chain")
     result = eta_limit(
         chain, experiment, tol=parse_rational(args.tol), max_iter=args.max_iter
     )
@@ -277,8 +260,8 @@ def _cmd_eta(args) -> tuple[int, dict]:
 
 
 def _cmd_merge_horizon(args) -> tuple[int, dict]:
-    experiment = _load(args.experiment, Experiment)
-    chain = _load(args.chain, MarkovChain)
+    experiment = docs.load_document(args.experiment, "experiment")
+    chain = docs.load_document(args.chain, "chain")
     report = merging_horizon(
         chain, experiment, epsilon=parse_rational(args.eps), n_max=args.nmax
     )
@@ -293,9 +276,9 @@ def _cmd_merge_horizon(args) -> tuple[int, dict]:
 
 
 def _cmd_stopping(args) -> tuple[int, dict]:
-    problem = _load(args.problem, DecisionProblem)
-    experiment = _load(args.experiment, Experiment)
-    chain = _load(args.chain, MarkovChain)
+    problem = docs.load_document(args.problem, "decision_problem")
+    experiment = docs.load_document(args.experiment, "experiment")
+    chain = docs.load_document(args.chain, "chain")
     stopping = StoppingProblem(problem=problem, chain=chain, horizon=args.horizon)
     return 0, _report(
         "stopping",
@@ -305,8 +288,8 @@ def _cmd_stopping(args) -> tuple[int, dict]:
 
 
 def _cmd_counterexample(args) -> tuple[int, dict]:
-    pi = _load(args.pi, Experiment)
-    pi_prime = _load(args.pi_prime, Experiment)
+    pi = docs.load_document(args.pi, "experiment")
+    pi_prime = docs.load_document(args.pi_prime, "experiment")
     mu = _parse_prior(args.prior)
     found = counterexample(pi, pi_prime, mu)
     if found is None:

@@ -3,7 +3,8 @@
 Every number is serialized as a rational string like ``"3/4"`` so files
 round-trip losslessly.  Certificates embed both experiments together with
 content digests, which parsers recompute and compare, so a certificate can
-never be verified against the wrong pair.
+never be verified against the wrong pair.  :func:`load_document` reads a
+file as the named kind alone and refuses any other kind by its ``kind`` field.
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def parse_document(doc: Any, path: str = "document"):
     return parser(doc, path)
 
 
-def load_document(filename: str):
+def load_document(filename: str, kind: str):
+    """The ``kind`` document in ``filename``; a file of any other kind is refused."""
     try:
         with open(filename, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -270,7 +272,7 @@ def load_document(filename: str):
         raise InvalidInput(f"{filename}: invalid JSON ({error})") from None
     except RecursionError:
         raise InvalidInput(f"{filename}: JSON nested too deeply") from None
-    return parse_document(raw, filename)
+    return _PARSERS[kind](raw, filename)
 
 
 def dump_document(doc: dict) -> str:

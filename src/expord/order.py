@@ -169,9 +169,8 @@ def _psi_program(
     pi_prime: Experiment,
     columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]] | None = None,
     objective: Sequence[Fraction] | None = None,
-    sense: str = "min",
 ) -> LinearProgram:
-    """The psi program: reproduction rows, then one row per column of P'.
+    """The psi program, a min program: reproduction rows, then one row per column of P'.
 
     psi(s, s') is variable s * |S'| + s'; extra variables priced by the
     objective (``min_size``'s bound t) follow.  The rows
@@ -197,7 +196,7 @@ def _psi_program(
             coeffs = _column_sum(pi, pi_prime, j, n_vars)
             coeffs[n_vars - len(tail) :] = tail
             rows.append((tuple(coeffs), relation, rhs[j]))
-    return LinearProgram(tuple(objective), sense, tuple(rows), (True,) * n_vars)
+    return LinearProgram(tuple(objective), "min", tuple(rows), (True,) * n_vars)
 
 
 def _block(

@@ -299,8 +299,10 @@ def random_decision_problem(
     Each payoff is p/q with q <= denominator_bound and |p| <= q; the prior
     is full support with the same denominator discipline.
     """
-    if n_actions < 1 or n_states < 1 or denominator_bound < 1:
-        raise InvalidInput("counts and the denominator bound must be positive")
+    if not _is_count(seed):
+        raise InvalidInput(f"the seed must be an int, got {seed!r}")
+    if not all(_is_count(n) and n >= 1 for n in (n_actions, n_states, denominator_bound)):
+        raise InvalidInput("counts and the denominator bound must be positive ints")
     rng = random.Random(seed)
     # randrange(n) draws as randint does, with less argument handling.
     draw = rng.randrange

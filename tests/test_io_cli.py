@@ -6,6 +6,7 @@ one of the library's own certificate checks fails.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -139,6 +140,16 @@ class TestDocumentValidation:
         with pytest.raises(InvalidInput, match=r"psi: certificate does not verify: reproduction"):
             docs.certificate_from_doc(doc)
 
+    @pytest.mark.parametrize(
+        "hostile", ["zero target probability", "no target atoms", "short target belief"]
+    )
+    def test_hostile_coupling_shape_rejected(self, hostile):
+        # Unchecked, these reach CouplingCertificate.beta (a zero divisor or
+        # an empty max) or verify_coupling (a belief indexed past its end).
+        doc = _coupling_doc(hostile)
+        with pytest.raises(InvalidInput):
+            docs.parse_document(doc)
+
     def test_row_sum_error_carries_a_path(self):
         doc = docs.experiment_to_doc(binary_symmetric("3/5"))
         doc["matrix"][0] = ["1/2", "2/3"]
@@ -152,6 +163,28 @@ class TestDocumentValidation:
     def test_digest_is_stable(self):
         doc = docs.experiment_to_doc(binary_symmetric("3/5"))
         assert docs.document_digest(doc) == docs.document_digest(json.loads(json.dumps(doc)))
+
+
+def _coupling_doc(hostile):
+    """A one-atom coupling document under the uniform prior, made hostile."""
+    atom = {"signals": ["s"], "belief": ["1/2", "1/2"], "probability": "1"}
+    doc = {
+        "kind": "coupling",
+        "prior": ["1/2", "1/2"],
+        "pi_atoms": [atom],
+        "pi_prime_atoms": [dict(atom)],
+        "matrix": [["1"]],
+        "beta": "1",
+    }
+    if hostile == "zero target probability":
+        doc["pi_prime_atoms"].append(dict(atom, signals=["t"], probability="0"))
+        doc["matrix"] = [["1", "0"]]
+    elif hostile == "no target atoms":
+        doc["pi_prime_atoms"], doc["matrix"] = [], [[]]
+    else:
+        doc["pi_atoms"][0] = dict(atom, belief=["1", "0"])
+        doc["pi_prime_atoms"][0]["belief"] = ["1"]
+    return doc
 
 
 def _swap_psi_entries(doc):
@@ -553,6 +586,23 @@ class TestCliPlumbing:
         code, _ = invoke(capsys, "value", files["pi"], files["family"])
         assert code == 2
 
+    def test_wrong_kind_is_refused_before_its_parser_runs(self, files, capsys, monkeypatch):
+        certificate = check_blackwell(binary_symmetric("3/5"), three_signal_family("4/5"))
+        path = files["dir"] / "cert.json"
+        path.write_text(docs.dump_document(docs.certificate_to_doc(certificate)))
+        parser, calls = docs.certificate_from_doc, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return parser(*args, **kwargs)
+
+        monkeypatch.setattr(docs, "certificate_from_doc", spy)
+        monkeypatch.setitem(docs._PARSERS, "certificate", spy)
+        code = run(["check", "weighted", str(path), files["family"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, calls) == (2, "", [])
+        assert captured.err == f"error: {path}.kind: expected 'experiment', got 'certificate'\n"
+
     def test_malformed_json_exits_two(self, files, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -703,6 +753,54 @@ class TestExitCodeFuzz:
         assert code in (0, 1, 2)
 
 
+def _paths(node, path=()):
+    """The path to every value inside a JSON value, the value itself first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _valid_documents():
+    """One valid document of each kind ``documents.parse_document`` reads."""
+    pi, pi_prime = binary_symmetric("3/5"), three_signal_family("4/5")
+    chain = markov_chain([["7/10", "3/10"], ["3/10", "7/10"]])
+    problem = decision_problem([["1", "0"], ["0", "1"]], ["1/2", "1/2"])
+    conditional = to_conditional(pi_prime, make_weight(pi_prime, ["0", "2", "2"]))
+    return [
+        docs.experiment_to_doc(pi_prime),
+        docs.chain_to_doc(chain),
+        docs.decision_problem_to_doc(problem),
+        docs.certificate_to_doc(check_blackwell(pi, pi_prime)),
+        docs.conditional_to_doc(conditional),
+        docs.coupling_to_doc(check_weighted_beliefs(pi, pi_prime, uniform_prior(2))),
+    ]
+
+
+_VALID_DOCUMENTS = _valid_documents()
+_REMOVED = object()
+_HOSTILE = [
+    "0", "-1", "1/0", "x", "", [], [[]], [["1"], ["1", "0"]], ["1"], 0, -1, 2, None, True,
+    {}, _REMOVED,
+]
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A valid document of any kind with one field at any depth replaced or removed."""
+    doc = copy.deepcopy(draw(st.sampled_from(_VALID_DOCUMENTS)))
+    *parents, key = draw(st.sampled_from(list(_paths(doc))[1:]))
+    node = doc
+    for step in parents:
+        node = node[step]
+    value = draw(st.sampled_from(_HOSTILE))
+    if value is _REMOVED:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
 # Small, well-formed documents whose state counts and labels are drawn
 # independently of each other, so mismatched inputs are common.
 _STATE_LABELS = ["t0", "t1", "t2", "x0"]
@@ -833,6 +931,19 @@ def _run_on(documents, build_argv) -> int:
     else:
         assert printed == ""
     return code
+
+
+class TestHostileDocumentFuzz:
+    @settings(max_examples=1000, deadline=None)
+    @given(doc=_hostile_documents())
+    def test_every_kind_parses_or_is_refused(self, doc):
+        try:
+            docs.parse_document(doc)
+        except InvalidInput:
+            pass
+        experiment = docs.experiment_to_doc(three_signal_family("4/5"))
+        code = _run_on([doc, experiment], lambda doc, e: ["check", "weighted", doc, e])
+        assert code in (0, 1, 2)
 
 
 class TestSubcommandFuzz:

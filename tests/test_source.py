@@ -16,6 +16,9 @@ library computes with is exact.  ``random.Random.random()`` in
 No module uses ``functools.lru_cache`` or ``functools.cache``.  An unbounded
 cache would let a benchmark's repeated passes time cache hits instead of
 work; the one memo the library keeps holds one entry, keyed by identity.
+
+No module but ``documents.py`` reads JSON with ``json.load`` or
+``json.loads``: ``documents.load_document`` is the one gate for file input.
 """
 
 import ast
@@ -86,3 +89,20 @@ def test_no_functools_caches(path):
         and isinstance(node.value, ast.Name) and node.value.id == "functools"
     ]
     assert not lines, f"{path.name} uses a functools cache at lines {lines}"
+
+
+JSON_READERS = {"load", "loads"}
+NOT_DOCUMENTS = [p for p in ALL_MODULES if p.name != "documents.py"]
+
+
+@pytest.mark.parametrize("path", NOT_DOCUMENTS, ids=[p.name for p in NOT_DOCUMENTS])
+def test_only_documents_reads_json(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in JSON_READERS for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in JSON_READERS
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
+    assert not lines, f"{path.name} reads JSON at lines {lines}"

@@ -249,8 +249,11 @@ class TestRandomDecisionProblem:
             assert dp.prior.full_support
 
     def test_counts_validated(self):
-        with pytest.raises(InvalidInput):
-            random_decision_problem(0, 0, 2)
+        # A bool is no count, and a None seed would draw from OS entropy.
+        for args in [(0, 0, 2), (0, 2.5, 2), (0, 2, 2, 2.5), (0, True, 2), (0, 2, "2"),
+                     (0, 2, 2, 0), (None, 2, 2), (1.5, 2, 2), ("7", 2, 2)]:
+            with pytest.raises(InvalidInput):
+                random_decision_problem(*args)
 
 
 class TestMixedStrategyPayoff:
