@@ -1,14 +1,14 @@
 """Command-line surface binding the library into a certified comparison tool.
 
-Commands read UTF-8 JSON documents whose numbers are exact rational strings,
-each through :func:`expord.documents.load_document` with the kind it needs, so
-a file of another kind is invalid input refused by its ``kind`` field.
-Each handler returns its exit code and one JSON document, and :func:`run`
-prints that document, the only write to stdout.  Exit codes follow one contract
-everywhere: 0 means the queried relation holds or the computation succeeded,
-1 means the relation was certified false, 2 means the input was invalid, and
-3 means one of the library's own certificate checks failed (a defect in
-expord, never a verdict).
+Commands read UTF-8 JSON documents, each through
+:func:`expord.documents.load_document` with the kind it needs, so a file of
+another kind is refused by its ``kind`` field.  Each handler returns its exit
+code and one document, and :func:`run` prints it, the only write to stdout;
+:func:`expord.documents.text` writes every number in it, so no report can
+hold a raw ``Fraction``.  Exit codes follow one contract: 0 means the queried
+relation holds or the computation succeeded, 1 means it was certified false,
+2 means the input was invalid, and 3 means one of the library's own
+certificate checks failed (a defect in expord, never a verdict).
 """
 
 from __future__ import annotations
@@ -63,9 +63,7 @@ from .value import random_decision_problem, falsify_bound, value, verify_bound
 
 
 def _report(command: str, **fields) -> dict:
-    doc = {"kind": "report", "command": command}
-    doc.update(fields)
-    return doc
+    return {"kind": "report", "command": command, **docs.text(fields)}
 
 
 def _parse_vector(text: str, name: str) -> tuple[Fraction, ...]:
@@ -89,8 +87,8 @@ def _cmd_check(args) -> tuple[int, dict]:
         certificate = check_weighted(pi, pi_prime, max_size=cap)
     if certificate is None:
         note = f"no {args.relation} garbling certificate exists"
-        if args.relation == "weighted" and args.beta is not None:
-            note += f" of size at most {args.beta}"
+        if args.relation == "weighted" and cap is not None:
+            note += f" of size at most {docs.text(cap)}"
         return 1, _report("check", relation=args.relation, holds=False, note=note)
     return 0, docs.certificate_to_doc(certificate)
 
@@ -108,24 +106,16 @@ def _cmd_size_interval(args) -> tuple[int, dict]:
     return 0, _report(
         "size-interval",
         holds=True,
-        beta_min=str(interval.beta_min),
-        beta_max=(
-            "unbounded"
-            if interval.beta_max is None
-            else str(interval.beta_max)
-        ),
+        beta_min=interval.beta_min,
+        beta_max="unbounded" if interval.beta_max is None else interval.beta_max,
         witness_min=docs.certificate_to_doc(interval.witness_min),
         witness_max=(
             None
             if interval.witness_max is None
             else docs.certificate_to_doc(interval.witness_max)
         ),
-        dual_min=[str(v) for v in interval.dual_min],
-        dual_max=(
-            None
-            if interval.dual_max is None
-            else [[str(v) for v in dual] for dual in interval.dual_max]
-        ),
+        dual_min=interval.dual_min,
+        dual_max=interval.dual_max,
     )
 
 
@@ -155,8 +145,8 @@ def _cmd_posteriors(args) -> tuple[int, dict]:
     distribution = posteriors(experiment, mu0)
     return 0, _report(
         "posteriors",
-        prior=[str(w) for w in mu0.weights],
-        states=list(experiment.states),
+        prior=mu0.weights,
+        states=experiment.states,
         atoms=[docs.atom_to_doc(atom) for atom in distribution.atoms],
     )
 
@@ -171,14 +161,14 @@ def _cmd_hull_check(args) -> tuple[int, dict]:
         return 1, _report(
             "hull-check",
             holds=False,
-            separating_functional=[str(h) for h in decision],
+            separating_functional=decision,
             note="the point lies outside the hull; the functional is "
             "nonpositive on every generator and positive at the point",
         )
     return 0, _report(
         "hull-check",
         holds=True,
-        coefficients=[str(c) for c in decision.coefficients],
+        coefficients=decision.coefficients,
     )
 
 
@@ -205,7 +195,7 @@ def _cmd_value(args) -> tuple[int, dict]:
     total, table = value(problem, experiment)
     return 0, _report(
         "value",
-        value=str(total),
+        value=total,
         policy=dict(zip(table.signals, table.actions)),
     )
 
@@ -218,11 +208,11 @@ def _cmd_bound_verify(args) -> tuple[int, dict]:
     return (0 if report.holds else 1), _report(
         "bound-verify",
         holds=report.holds,
-        beta=str(report.beta),
-        value_prime=str(report.value_prime),
-        value_pi=str(report.value_pi),
-        value_noinfo=str(report.value_noinfo),
-        slack=str(report.slack),
+        beta=report.beta,
+        value_prime=report.value_prime,
+        value_pi=report.value_pi,
+        value_noinfo=report.value_noinfo,
+        slack=report.slack,
     )
 
 
@@ -253,9 +243,9 @@ def _cmd_eta(args) -> tuple[int, dict]:
     return 0, _report(
         "eta",
         iterations=result.iterations,
-        gap=str(result.gap),
+        gap=result.gap,
         converged=result.converged,
-        hull=docs.belief_list_doc(result.hull.points),
+        hull=result.hull.points,
     )
 
 
@@ -268,9 +258,9 @@ def _cmd_merge_horizon(args) -> tuple[int, dict]:
     return 0, _report(
         "merge-horizon",
         horizon=report.horizon,
-        profile=[str(g) for g in report.profile],
+        profile=report.profile,
         monotone=report.monotone,
-        epsilon=str(report.epsilon),
+        epsilon=report.epsilon,
         n_max=report.n_max,
     )
 
@@ -283,7 +273,7 @@ def _cmd_stopping(args) -> tuple[int, dict]:
     return 0, _report(
         "stopping",
         horizon=args.horizon,
-        value=str(stopping_value(stopping, experiment)),
+        value=stopping_value(stopping, experiment),
     )
 
 
@@ -306,7 +296,7 @@ def _cmd_counterexample(args) -> tuple[int, dict]:
         problem=docs.decision_problem_to_doc(problem),
         chain=docs.chain_to_doc(chain),
         values=[
-            {"horizon": horizon, "pi": str(better), "pi_prime": str(worse)}
+            {"horizon": horizon, "pi": better, "pi_prime": worse}
             for horizon, better, worse in values
         ],
     )

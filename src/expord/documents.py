@@ -1,10 +1,11 @@
 """JSON document schemas with exact rational payloads.
 
 Every number is serialized as a rational string like ``"3/4"`` so files
-round-trip losslessly.  Certificates embed both experiments together with
-content digests, which parsers recompute and compare, so a certificate can
-never be verified against the wrong pair.  :func:`load_document` reads a
-file as the named kind alone and refuses any other kind by its ``kind`` field.
+round-trip losslessly.  :func:`text` is the one writer of those strings and
+:func:`load_document` the one reader of files; it reads a file as the named
+kind alone, and :func:`~expord.numerics.as_rational` decides what counts as a
+rational.  Certificates embed both experiments with content digests, which
+parsers recompute, so a certificate never verifies against the wrong pair.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .beliefs import CouplingCertificate, PosteriorAtom
 from .dynamics import MarkovChain
 from .experiments import DecisionProblem, Experiment, Prior
-from .numerics import InvalidInput, parse_rational
+from .numerics import InvalidInput, as_rational
 from .order import ConditionalExperiment, GarblingCertificate, verify_certificate
 
 
@@ -39,15 +40,20 @@ def _require_kind(doc: Any, kind: str, path: str) -> None:
         raise _fail(f"{path}.kind", f"expected {kind!r}, got {found!r}")
 
 
+def text(value: Any) -> Any:
+    """``value`` with every Fraction in it, at any depth, written as its string."""
+    if isinstance(value, dict):
+        return {key: text(entry) for key, entry in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [text(entry) for entry in value]
+    return str(value) if isinstance(value, Fraction) else value
+
+
 def _rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except InvalidInput as error:
-            raise _fail(path, str(error)) from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise _fail(path, f"expected a rational string, got {value!r}")
+    try:
+        return as_rational(value)
+    except InvalidInput as error:
+        raise _fail(path, str(error)) from None
 
 
 def _rational_list(value: Any, path: str) -> tuple[Fraction, ...]:
@@ -77,12 +83,12 @@ def document_digest(doc: dict) -> str:
 
 
 def experiment_to_doc(experiment: Experiment) -> dict:
-    return {
+    return text({
         "kind": "experiment",
-        "states": list(experiment.states),
-        "signals": list(experiment.signals),
-        "matrix": [[str(p) for p in row] for row in experiment.matrix],
-    }
+        "states": experiment.states,
+        "signals": experiment.signals,
+        "matrix": experiment.matrix,
+    })
 
 
 def experiment_from_doc(doc: Any, path: str = "experiment") -> Experiment:
@@ -104,11 +110,11 @@ def _embedded_experiment(doc: Any, key: str, path: str) -> Experiment:
 
 
 def chain_to_doc(chain: MarkovChain) -> dict:
-    return {
+    return text({
         "kind": "chain",
-        "states": list(chain.states),
-        "transition": [[str(p) for p in row] for row in chain.rows],
-    }
+        "states": chain.states,
+        "transition": chain.rows,
+    })
 
 
 def chain_from_doc(doc: Any, path: str = "chain") -> MarkovChain:
@@ -120,12 +126,12 @@ def chain_from_doc(doc: Any, path: str = "chain") -> MarkovChain:
 
 
 def decision_problem_to_doc(problem: DecisionProblem) -> dict:
-    return {
+    return text({
         "kind": "decision_problem",
-        "actions": list(problem.actions),
-        "payoffs": [[str(u) for u in row] for row in problem.payoffs],
-        "prior": [str(w) for w in problem.prior.weights],
-    }
+        "actions": problem.actions,
+        "payoffs": problem.payoffs,
+        "prior": problem.prior.weights,
+    })
 
 
 def decision_problem_from_doc(doc: Any, path: str = "decision_problem") -> DecisionProblem:
@@ -140,17 +146,17 @@ def decision_problem_from_doc(doc: Any, path: str = "decision_problem") -> Decis
 def certificate_to_doc(certificate: GarblingCertificate) -> dict:
     pi_doc = experiment_to_doc(certificate.pi)
     pi_prime_doc = experiment_to_doc(certificate.pi_prime)
-    return {
+    return text({
         "kind": "certificate",
         "pi": pi_doc,
         "pi_prime": pi_prime_doc,
         "pi_digest": document_digest(pi_doc),
         "pi_prime_digest": document_digest(pi_prime_doc),
-        "psi": [[str(v) for v in row] for row in certificate.psi],
-        "gamma": [str(v) for v in certificate.gamma],
-        "phi": [[str(v) for v in row] for row in certificate.phi],
-        "beta": str(certificate.beta),
-    }
+        "psi": certificate.psi,
+        "gamma": certificate.gamma,
+        "phi": certificate.phi,
+        "beta": certificate.beta,
+    })
 
 
 def certificate_from_doc(doc: Any, path: str = "certificate") -> GarblingCertificate:
@@ -174,13 +180,13 @@ def certificate_from_doc(doc: Any, path: str = "certificate") -> GarblingCertifi
 
 def conditional_to_doc(conditional: ConditionalExperiment) -> dict:
     base_doc = experiment_to_doc(conditional.base)
-    return {
+    return text({
         "kind": "conditional_experiment",
         "base": base_doc,
         "base_digest": document_digest(base_doc),
-        "event": [[str(v) for v in row] for row in conditional.event],
-        "alpha": str(conditional.alpha),
-    }
+        "event": conditional.event,
+        "alpha": conditional.alpha,
+    })
 
 
 def conditional_from_doc(doc: Any, path: str = "conditional_experiment") -> ConditionalExperiment:
@@ -193,11 +199,11 @@ def conditional_from_doc(doc: Any, path: str = "conditional_experiment") -> Cond
 
 
 def atom_to_doc(atom: PosteriorAtom) -> dict:
-    return {
-        "signals": list(atom.signals),
-        "belief": [str(b) for b in atom.belief],
-        "probability": str(atom.probability),
-    }
+    return text({
+        "signals": atom.signals,
+        "belief": atom.belief,
+        "probability": atom.probability,
+    })
 
 
 def atom_from_doc(doc: Any, path: str) -> PosteriorAtom:
@@ -209,14 +215,14 @@ def atom_from_doc(doc: Any, path: str) -> PosteriorAtom:
 
 
 def coupling_to_doc(coupling: CouplingCertificate) -> dict:
-    return {
+    return text({
         "kind": "coupling",
-        "prior": [str(w) for w in coupling.prior.weights],
+        "prior": coupling.prior.weights,
         "pi_atoms": [atom_to_doc(atom) for atom in coupling.pi_atoms],
         "pi_prime_atoms": [atom_to_doc(atom) for atom in coupling.pi_prime_atoms],
-        "matrix": [[str(v) for v in row] for row in coupling.matrix],
-        "beta": str(coupling.beta),
-    }
+        "matrix": coupling.matrix,
+        "beta": coupling.beta,
+    })
 
 
 def coupling_from_doc(doc: Any, path: str = "coupling") -> CouplingCertificate:
@@ -277,7 +283,3 @@ def load_document(filename: str, kind: str):
 
 def dump_document(doc: dict) -> str:
     return json.dumps(doc, indent=2)
-
-
-def belief_list_doc(beliefs: Sequence[Sequence[Fraction]]) -> list[list[str]]:
-    return [[str(b) for b in belief] for belief in beliefs]

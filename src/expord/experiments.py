@@ -323,8 +323,9 @@ def regularize(experiment: Experiment) -> Experiment:
     multiples of each other, that is, when :meth:`Experiment.bayes` gives
     them the same posterior under the uniform measure; a null signal has
     none.  The merged column is the sum and the label joins the members
-    with ``+``, in order of first occurrence.  The operation is idempotent
-    and does not change the induced posterior distribution under any prior.
+    with ``+`` in order of first occurrence, suffixed with ``_`` while it
+    names an original signal or an earlier group.  The operation is
+    idempotent and does not change the posteriors under any prior.
     """
     uniform = [1] * experiment.n_states
     groups: dict[tuple[Fraction, ...], list[int]] = {}
@@ -332,16 +333,19 @@ def regularize(experiment: Experiment) -> Experiment:
         _, posterior = experiment.bayes(uniform, j)
         if posterior is not None:
             groups.setdefault(posterior, []).append(j)
-    signals = tuple(
-        "+".join(experiment.signals[j] for j in group) for group in groups.values()
-    )
+    signals: list[str] = []
+    for group in groups.values():
+        joined = "+".join(experiment.signals[j] for j in group)
+        if len(group) > 1:
+            joined = _fresh_label(joined, experiment.signals + tuple(signals))
+        signals.append(joined)
     matrix = tuple(
         tuple(
             sum((row[j] for j in group), Fraction(0)) for group in groups.values()
         )
         for row in experiment.matrix
     )
-    return Experiment(states=experiment.states, signals=signals, matrix=matrix)
+    return Experiment(states=experiment.states, signals=tuple(signals), matrix=matrix)
 
 
 def _fresh_label(base: str, taken: Sequence[str]) -> str:

@@ -78,8 +78,8 @@ class GarblingCertificate:
 
     The payload is the linearized kernel ``psi`` with
     ``psi[s][s']  =  gamma(s') * phi(s|s')``.  The weight, channel, and size
-    are derived views; rows of ``phi`` at signals with zero weight are set
-    uniform by convention.
+    are derived views; at a signal of ``pi_prime`` with zero weight, the
+    column of ``phi`` is set uniform by convention.
     """
 
     pi: Experiment

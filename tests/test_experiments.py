@@ -20,6 +20,7 @@ from expord import (
     Prior,
     Weight,
     apply_weight,
+    check_weighted,
     check_weighted_beliefs,
     decision_problem,
     dilute,
@@ -175,6 +176,21 @@ class TestRegularize:
     def test_regular_input_unchanged(self):
         e = binary_symmetric("4/5")
         assert regularize(e) == e
+
+    def test_merged_label_never_takes_an_original_label(self):
+        # a and b are proportional, so their group would be labelled "a+b",
+        # the label the third signal already has.
+        pi_prime = Experiment(
+            states=("t0", "t1"),
+            signals=("a", "b", "a+b"),
+            matrix=((F(1, 4), F(1, 4), F(1, 2)), (F(1, 8), F(1, 8), F(3, 4))),
+        )
+        out = regularize(pi_prime)
+        assert out.signals == ("a+b_", "a+b")
+        assert regularize(out) == out
+        pi = uninformative_experiment(2)
+        assert check_weighted(pi, pi_prime) is not None
+        assert check_weighted_beliefs(pi, pi_prime, uniform_prior(2)) is not None
 
     def test_matches_the_proportionality_reference(self):
         rng = random.Random(23)

@@ -35,7 +35,7 @@ from expord import (
     verify_certificate,
 )
 from expord import documents as docs
-from expord import numerics
+from expord import cli, numerics
 from expord.cli import run
 from expord.generators import (
     binary_symmetric,
@@ -102,6 +102,30 @@ class TestDocumentRoundTrips:
             docs.parse_document({"kind": kind})
 
 
+class TestRationalWriter:
+    def test_every_fraction_at_any_depth_becomes_its_string(self):
+        value = {"a": (F(1, 2), [F(-3), {"b": (F(2, 4),)}]), "c": [[F(0)]]}
+        assert docs.text(value) == {"a": ["1/2", ["-3", {"b": ["1/2"]}]], "c": [["0"]]}
+
+    @pytest.mark.parametrize("value", ["3/4", 7, True, False, None])
+    def test_other_scalars_pass_through(self, value):
+        assert docs.text(value) is value
+
+    def test_idempotent(self):
+        value = {"x": (F(5, 3), "1/2", 4, None, [True, (F(1),)])}
+        assert docs.text(docs.text(value)) == docs.text(value)
+
+    def test_report_holds_no_raw_fraction(self):
+        report = cli._report("demo", beta=F(3, 2), pair=(F(1, 3), 2), note=None)
+        assert json.loads(docs.dump_document(report)) == {
+            "kind": "report",
+            "command": "demo",
+            "beta": "3/2",
+            "pair": ["1/3", 2],
+            "note": None,
+        }
+
+
 class TestDocumentValidation:
     def _cert_doc(self):
         cert = check_blackwell(binary_symmetric("3/5"), three_signal_family("4/5"))
@@ -155,6 +179,10 @@ class TestDocumentValidation:
         doc["matrix"][0] = ["1/2", "2/3"]
         with pytest.raises(InvalidInput):
             docs.experiment_from_doc(doc)
+        for entry in (True, 1.5, None):
+            doc["matrix"][0] = [entry, "2/5"]
+            with pytest.raises(InvalidInput, match=r"^experiment\.matrix\[0\]\[0\]: "):
+                docs.experiment_from_doc(doc)
 
     def test_canonical_json_is_sorted_and_compact(self):
         text = docs.canonical_json({"b": 1, "a": [1, 2]})
@@ -250,6 +278,13 @@ class TestCheckCommand:
         assert code == 0
         cert = docs.certificate_from_doc(doc)
         assert cert.beta <= 2
+
+    def test_size_cap_note_names_the_parsed_cap(self, files, capsys):
+        code, doc = invoke(
+            capsys, "check", "weighted", files["pi"], files["family"], "--beta", " 6/4 "
+        )
+        assert code == 1
+        assert doc["note"] == "no weighted garbling certificate exists of size at most 3/2"
 
     def test_unordered_pair_exits_one(self, files, capsys):
         code, doc = invoke(capsys, "check", "weighted", files["perfect"], files["uninf"])

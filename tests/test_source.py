@@ -19,6 +19,11 @@ work; the one memo the library keeps holds one entry, keyed by identity.
 
 No module but ``documents.py`` reads JSON with ``json.load`` or
 ``json.loads``: ``documents.load_document`` is the one gate for file input.
+Nor does any other module write it with ``json.dump`` or ``json.dumps``:
+``documents`` is the one JSON writer as well as the one reader.
+
+``expord.__all__`` is exactly the set of names ``__init__.py`` imports, so
+no export is listed without being imported, or imported without being listed.
 """
 
 import ast
@@ -92,17 +97,34 @@ def test_no_functools_caches(path):
 
 
 JSON_READERS = {"load", "loads"}
+JSON_WRITERS = {"dump", "dumps"}
 NOT_DOCUMENTS = [p for p in ALL_MODULES if p.name != "documents.py"]
+
+
+def _json_uses(path, names: set[str]) -> list[int]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in names for alias in node.names)
+        or isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+    ]
 
 
 @pytest.mark.parametrize("path", NOT_DOCUMENTS, ids=[p.name for p in NOT_DOCUMENTS])
 def test_only_documents_reads_json(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    lines = [
-        node.lineno for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "json"
-        and any(alias.name in JSON_READERS for alias in node.names)
-        or isinstance(node, ast.Attribute) and node.attr in JSON_READERS
-        and isinstance(node.value, ast.Name) and node.value.id == "json"
-    ]
+    lines = _json_uses(path, JSON_READERS)
     assert not lines, f"{path.name} reads JSON at lines {lines}"
+
+
+@pytest.mark.parametrize("path", NOT_DOCUMENTS, ids=[p.name for p in NOT_DOCUMENTS])
+def test_only_documents_writes_json(path):
+    lines = _json_uses(path, JSON_WRITERS)
+    assert not lines, f"{path.name} writes JSON at lines {lines}"
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(set(expord.__all__)) == len(expord.__all__), "__all__ lists a name twice"
+    assert set(expord.__all__) == set(_imported(tree))
