@@ -4,8 +4,12 @@ Under a full-support prior, an experiment induces a finite distribution over
 posterior beliefs.  Whether one experiment is a weighted garbling of another
 can be read off these objects alone: it holds exactly when every posterior of
 the coarser experiment lies in the convex hull of the finer one's posteriors,
-a prior-independent support condition.  Each membership question is one LP,
-decided by :func:`hull_decide`, whose answer is evidence either way: convex
+a prior-independent support condition.  :func:`check_weighted_beliefs`
+reads that condition off the per-signal blocks :mod:`expord.order` solves and
+remembers for a pair: block s is the hull question for the posterior at
+signal s in unnormalized coordinates, so it solves no LP of its own.  A
+single point against a set of generators is one LP, decided by
+:func:`hull_decide`, whose answer is evidence either way: convex
 coefficients inside the hull, a separating functional outside it.  Couplings
 between the two posterior distributions certify the relation quantitatively,
 and their worst likelihood ratio recovers a weight.
@@ -39,6 +43,7 @@ from .numerics import (
     linear_program,
     solve,
 )
+from .order import _relax
 
 Belief = tuple[Fraction, ...]
 
@@ -267,26 +272,58 @@ def check_weighted_beliefs(
 
     Succeeds exactly when every posterior of ``pi`` lies in the convex hull
     of the posteriors of ``pi_prime`` (regularized first, so its atoms are
-    in bijection with its signals).  The coupling sends each atom of ``pi``
-    to hull coefficients over the atoms of ``pi_prime``.
+    in bijection with its signals).  Block s of the psi program asks this
+    for the posterior at signal s in unnormalized coordinates, and
+    psi(s, j) P'(j) / P(s) are its hull coefficients, so the answer is read
+    off the pair's blocks, which :mod:`expord.order` solves once and
+    remembers; no LP of its own is solved.  The prior is checked before the
+    blocks are asked for.  The coupling is the one
+    :func:`coupling_from_certificate` builds from the block points.
     """
     _require_shared_states(pi, pi_prime)
     source = posteriors(pi, mu0)
+    feasible, x = _relax(pi, pi_prime)
+    if not feasible:
+        return None
+    n_sp = pi_prime.n_signals
+    psi = [x[s * n_sp : (s + 1) * n_sp] for s in range(pi.n_signals)]
+    return _coupling(source, pi, pi_prime, psi, mu0)
+
+
+def _coupling(
+    source: PosteriorDistribution,
+    pi: Experiment,
+    pi_prime: Experiment,
+    psi: Sequence[Sequence[Fraction]],
+    mu0: Prior,
+) -> CouplingCertificate:
+    """The coupling with mass psi(s, j) P'(j) from the atom holding s to the one holding j.
+
+    ``source`` is ``posteriors(pi, mu0)``, columns are the atoms of the
+    regularized ``pi_prime``, and P'(j) is the mass of signal j of
+    ``pi_prime`` under ``mu0``.  Each signal is tied to its column by its
+    posterior, which survives both merging and relabeling; a null signal
+    has no mass and no column.  When psi reproduces ``pi`` from
+    ``pi_prime``, the row moment at state t is mu0(t) pi(s|t), the atom
+    mass times its belief, so the barycenter property holds algebraically.
+    """
     target = posteriors(regularize(pi_prime), mu0)
-    generators = target.beliefs
-    rows = []
-    for atom in source.atoms:
-        membership = hull_membership(atom.belief, generators)
-        if membership is None:
-            return None
-        rows.append(
-            tuple(atom.probability * chi for chi in membership.coefficients)
-        )
+    column = {atom.belief: k for k, atom in enumerate(target.atoms)}
+    row_of = {signal: i for i, atom in enumerate(source.atoms) for signal in atom.signals}
+    matrix = [[Fraction(0)] * len(target.atoms) for _ in source.atoms]
+    for j in range(pi_prime.n_signals):
+        mass, belief = pi_prime.bayes(mu0.weights, j)
+        if belief is None:
+            continue
+        k = column[belief]
+        for signal, row in zip(pi.signals, psi):
+            if signal in row_of:
+                matrix[row_of[signal]][k] += row[j] * mass
     return CouplingCertificate(
         prior=mu0,
         pi_atoms=source.atoms,
         pi_prime_atoms=target.atoms,
-        matrix=tuple(rows),
+        matrix=tuple(tuple(row) for row in matrix),
     )
 
 
@@ -377,38 +414,8 @@ def coupling_from_certificate(
 
     Mass psi(s, s') q'(s') couples the posterior of s with the posterior of
     s'; aggregating over signals with merged posteriors gives atom-level
-    mass.  The barycenter property holds algebraically: the row moment
-    equals mu(t) pi(s|t), which is the atom mass times its belief.
+    mass.  :func:`check_weighted_beliefs` builds its coupling the same way
+    from the block points.
     """
-    pi, pi_prime = certificate.pi, certificate.pi_prime
-    source = posteriors(pi, mu0)
-    target = posteriors(regularize(pi_prime), mu0)
-    signal_mass = [pi_prime.bayes(mu0.weights, j)[0] for j in range(pi_prime.n_signals)]
-    row_of: dict[str, int] = {}
-    for i, atom in enumerate(source.atoms):
-        for signal in atom.signals:
-            row_of[signal] = i
-    # Original pi_prime signals are tied to target atoms by posterior value,
-    # which survives both merging and relabeling.
-    belief_index = {atom.belief: j for j, atom in enumerate(target.atoms)}
-    col_of: dict[str, int] = {}
-    for atom in posteriors(pi_prime, mu0).atoms:
-        for signal in atom.signals:
-            col_of[signal] = belief_index[atom.belief]
-    matrix = [
-        [Fraction(0)] * len(target.atoms) for _ in range(len(source.atoms))
-    ]
-    for i, signal in enumerate(pi.signals):
-        if signal not in row_of:
-            continue
-        for j, signal_prime in enumerate(pi_prime.signals):
-            if signal_prime not in col_of:
-                continue
-            mass = certificate.psi[i][j] * signal_mass[j]
-            matrix[row_of[signal]][col_of[signal_prime]] += mass
-    return CouplingCertificate(
-        prior=mu0,
-        pi_atoms=source.atoms,
-        pi_prime_atoms=target.atoms,
-        matrix=tuple(tuple(row) for row in matrix),
-    )
+    source = posteriors(certificate.pi, mu0)
+    return _coupling(source, certificate.pi, certificate.pi_prime, certificate.psi, mu0)

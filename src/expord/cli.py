@@ -25,6 +25,7 @@ from .beliefs import (
     HullMembershipCertificate,
     check_weighted_beliefs,
     hull_decide,
+    hull_membership,
     posteriors,
     verify_coupling,
 )
@@ -35,7 +36,7 @@ from .dynamics import (
     merging_horizon,
     stopping_value,
 )
-from .experiments import Prior, dilute
+from .experiments import Prior, dilute, regularize
 from .numerics import (
     INFEASIBLE,
     OPTIMAL,
@@ -329,8 +330,10 @@ def _selftest_orders(seed: int, count: int) -> tuple[bool, str]:
     ordered = 0
     for pi, mu0, pi_prime in generators.corpus_pairs(seed, count):
         lp_cert = check_weighted(pi, pi_prime)
-        coupling = check_weighted_beliefs(pi, pi_prime, mu0)
-        if (lp_cert is None) != (coupling is None):
+        # One hull program per posterior atom: a decision independent of the blocks.
+        hull = posteriors(regularize(pi_prime), mu0).beliefs
+        atoms = posteriors(pi, mu0).atoms
+        if (lp_cert is None) == all(hull_membership(a.belief, hull) is not None for a in atoms):
             return False, "LP and posterior-geometry paths disagree"
         blackwell = check_blackwell(pi, pi_prime)
         sizing = min_size(pi, pi_prime)
@@ -342,6 +345,9 @@ def _selftest_orders(seed: int, count: int) -> tuple[bool, str]:
                 return False, "no falsifier for an unordered pair"
             continue
         ordered += 1
+        coupling = check_weighted_beliefs(pi, pi_prime, mu0)
+        if coupling is None or not verify_coupling(coupling, pi, pi_prime, mu0):
+            return False, "belief coupling failed verification"
         try:  # loading verifies the certificate
             docs.certificate_from_doc(docs.certificate_to_doc(lp_cert))
         except InvalidInput:

@@ -28,7 +28,7 @@ the one that computed it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
 
@@ -36,6 +36,7 @@ from .experiments import (
     DecisionProblem,
     Experiment,
     Prior,
+    _fresh_label,
     _is_count,
     _require_shared_states,
     dilute,
@@ -46,6 +47,7 @@ from .numerics import (
     InternalError,
     InvalidInput,
     RationalLike,
+    _clear_denominators,
     as_rational,
     farkas_verifies,
 )
@@ -249,38 +251,49 @@ def falsify_bound(
     hull of ``pi_prime``'s, so one problem refutes every beta: there V(P')
     = V(null) = 0 < V(P) / beta.  That row is read off the undiluted
     pair's blocks, which the order module remembers for the last pair
-    asked about, and checked against the diluted block by substitution.
+    asked about, and checked by substitution against the diluted block,
+    stated as block s with right-hand sides pi(s|t) / beta, so no diluted
+    experiment is built outside the order.
     Payoffs are rescaled into [-1, 1] and the violation is re-verified
     before returning.
     """
     scale = as_rational(beta)
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
-    diluted = dilute(pi, scale)
     feasible, farkas = _relax(pi, pi_prime)
     if feasible:
         # The diluted blocks are pi's at 1/beta of the mass, and a null block
         # that pi_prime's signals sum to: all feasible, so the linked program decides.
-        farkas = _link(diluted, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
+        farkas = _link(dilute(pi, scale), pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
         if isinstance(farkas, GarblingCertificate):
             return None
     else:
-        # Scaling block s's right-hand side by 1/beta keeps its Farkas row;
-        # the null signal's row is zero.
+        # Block s of the diluted pair is pi's with right-hand sides pi(s|t) / beta,
+        # which keeps its Farkas row; the null signal's row is zero.
         s = next(i for i, row in enumerate(farkas) if any(row))
-        if not farkas_verifies(_block(diluted, pi_prime, s), farkas[s]):
+        block = _block(pi, pi_prime, s)
+        rows = tuple((coeffs, relation, rhs / scale) for coeffs, relation, rhs in block.rows)
+        if not farkas_verifies(replace(block, rows=rows), farkas[s]):
             raise InternalError("the block's Farkas row does not refute its diluted block")
         farkas += ((Fraction(0),) * pi.n_states,)
+    # The payoffs are y |states|, divided by their peak when it exceeds one:
+    # with y = f / D over integers f and P = max |f|, that is f / P when
+    # P |states| > D and f |states| / D otherwise.
     n_states = pi.n_states
-    payoffs = [tuple(y * n_states for y in row) for row in farkas]
-    peak = max(abs(entry) for row in payoffs for entry in row)
+    flat, denominator = _clear_denominators([y for row in farkas for y in row])
+    peak = max(map(abs, flat))
     if peak == 0:
         raise InternalError("a Farkas certificate cannot have all-zero row multipliers")
-    if peak > 1:
-        payoffs = [tuple(entry / peak for entry in row) for row in payoffs]
+    if peak * n_states > denominator:
+        entries = [Fraction(f, peak) for f in flat]
+    else:
+        entries = [Fraction(f * n_states, denominator) for f in flat]
+    null_label = _fresh_label("null", pi.signals)
     problem = DecisionProblem(
-        actions=tuple(f"a_{signal}" for signal in diluted.signals),
-        payoffs=tuple(payoffs),
+        actions=tuple(f"a_{signal}" for signal in pi.signals + (null_label,)),
+        payoffs=tuple(
+            tuple(entries[k : k + n_states]) for k in range(0, len(entries), n_states)
+        ),
         prior=Prior(weights=tuple(Fraction(1, n_states) for _ in range(n_states))),
     )
     if verify_bound(problem, pi, pi_prime, scale).holds:

@@ -62,6 +62,7 @@ from expord.generators import (
     three_signal_family,
     uninformative_experiment,
 )
+import reference_beliefs
 from reference_simplex import dual_program
 
 F = Fraction
@@ -162,6 +163,24 @@ def test_criterion_2_order_paths_agree(corpus, corpus_certs, capsys):
         failures,
         f"{len(corpus)} pairs x 5 priors, zero disagreements",
     )
+
+
+def test_belief_check_matches_the_hull_reference(corpus):
+    """The block reading and the hull programs give one verdict and one coupling.
+
+    Each pair is asked at its corpus prior and at one seeded random prior.
+    The reference decides each posterior of ``pi`` by its own hull program,
+    in normalized beliefs against the regularized generators.
+    """
+    rng = random.Random(7)
+    ordered = 0
+    for index, (pi, prior, pi_prime) in enumerate(corpus):
+        for mu in (prior, random_prior(rng, pi.n_states)):
+            found = check_weighted_beliefs(pi, pi_prime, mu)
+            expected = reference_beliefs.check_weighted_beliefs(pi, pi_prime, mu)
+            assert found == expected, f"pair {index} at prior {mu.weights}"
+            ordered += found is not None
+    assert 0 < ordered < 2 * len(corpus)
 
 
 def test_criterion_3_blackwell_iff_unit_size(corpus, corpus_sizes, capsys):

@@ -1,5 +1,7 @@
 """Posterior geometry: Bayes atoms, hulls, and coupling certificates."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -7,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expord
+from expord import numerics
 from expord import (
     CouplingCertificate,
+    Experiment,
     HullMembershipCertificate,
     InvalidInput,
     PosteriorAtom,
@@ -30,6 +35,7 @@ from expord import (
 import reference_experiments
 from expord.generators import (
     binary_symmetric,
+    corpus_pairs,
     perfect_experiment,
     random_experiment,
     random_prior,
@@ -185,6 +191,81 @@ class TestCheckWeightedBeliefs:
         pi_prime = three_signal_family("4/5")
         assert check_weighted(pi, pi_prime) is None
         assert check_weighted_beliefs(pi, pi_prime, UNIFORM) is None
+
+
+def _spy_on_solve(monkeypatch) -> list:
+    """Record every LP any expord module solves, as ``_corpus_lps`` does."""
+    captured = []
+    real = numerics.solve
+
+    def spy(lp):
+        captured.append(lp)
+        return real(lp)
+
+    for info in pkgutil.iter_modules(expord.__path__):
+        module = importlib.import_module(f"expord.{info.name}")
+        if getattr(module, "solve", None) is real:
+            monkeypatch.setattr(module, "solve", spy)
+    return captured
+
+
+def _fresh(experiment):
+    """An equal experiment that no earlier question can have been about."""
+    return Experiment(experiment.states, experiment.signals, experiment.matrix)
+
+
+class TestBeliefCheckReadsTheBlocks:
+    def test_a_remembered_pair_solves_nothing(self, monkeypatch):
+        captured = _spy_on_solve(monkeypatch)
+        verdicts = set()
+        for pi, mu, pi_prime in corpus_pairs(20250814, 30):
+            ordered = check_weighted(pi, pi_prime) is not None
+            del captured[:]
+            coupling = check_weighted_beliefs(pi, pi_prime, mu)
+            assert captured == []
+            assert (coupling is not None) == ordered
+            verdicts.add(ordered)
+        assert verdicts == {True, False}
+
+    def test_a_fresh_pair_solves_only_its_blocks(self, monkeypatch):
+        captured = _spy_on_solve(monkeypatch)
+        for pi, mu, pi_prime in corpus_pairs(20250814, 30):
+            pi, pi_prime = _fresh(pi), _fresh(pi_prime)
+            del captured[:]
+            coupling = check_weighted_beliefs(pi, pi_prime, mu)
+            assert 0 < len(captured) <= pi.n_signals
+            for lp in captured:
+                assert len(lp.rows) <= pi.n_states
+                assert lp.n_variables == pi_prime.n_signals
+                assert not any(lp.objective)
+            # Every later question about the pair reads the same blocks.
+            del captured[:]
+            assert (check_weighted(pi, pi_prime) is None) == (coupling is None)
+            assert captured == []
+
+
+ORDERED = (binary_symmetric("4/5"), three_signal_family("9/10"))
+UNORDERED = (binary_symmetric("9/10"), three_signal_family("4/5"))
+
+
+class TestBeliefCheckPriors:
+    @pytest.mark.parametrize("weights, message", [
+        (("1", "0"), "posteriors require a full-support prior"),
+        (("1/3", "1/3", "1/3"), "measure dimension does not match the state set"),
+    ], ids=["zero-weight", "wrong-length"])
+    @pytest.mark.parametrize("pair", [ORDERED, UNORDERED], ids=["ordered", "unordered"])
+    @pytest.mark.parametrize("remembered", [True, False], ids=["remembered", "fresh"])
+    def test_a_bad_prior_is_refused_before_the_blocks(
+        self, monkeypatch, weights, message, pair, remembered
+    ):
+        pi, pi_prime = _fresh(pair[0]), _fresh(pair[1])
+        if remembered:
+            check_weighted(pi, pi_prime)
+        captured = _spy_on_solve(monkeypatch)
+        with pytest.raises(InvalidInput) as caught:
+            check_weighted_beliefs(pi, pi_prime, prior(weights))
+        assert str(caught.value) == message
+        assert captured == []
 
 
 class TestVerifyCoupling:

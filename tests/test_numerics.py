@@ -37,6 +37,7 @@ from expord import (
 import expord
 from expord import numerics
 from expord.generators import corpus_pairs, random_lp
+import reference_beliefs
 import reference_simplex
 from reference_simplex import dual_program, reference_solve
 
@@ -271,7 +272,13 @@ def _assert_same_outcomes(lps):
 
 
 def _corpus_lps(pairs: int) -> list:
-    """Every LP the order, belief and value calls solve on the first corpus pairs."""
+    """Every LP the order, belief and value calls solve on the first corpus pairs.
+
+    The belief check reads the order's blocks and solves nothing of its own,
+    so its place in the loop asks the hull programs of
+    ``reference_beliefs.check_weighted_beliefs`` instead: ``hull-check``,
+    ``counterexample`` and ``eta`` still solve programs of that shape.
+    """
     captured = []
     real = numerics.solve
 
@@ -288,7 +295,7 @@ def _corpus_lps(pairs: int) -> list:
             weighted = expord.check_weighted(pi, pi_prime)
             expord.check_blackwell(pi, pi_prime)
             expord.min_size(pi, pi_prime)
-            expord.check_weighted_beliefs(pi, pi_prime, prior)
+            reference_beliefs.check_weighted_beliefs(pi, pi_prime, prior)
             if weighted is not None:
                 expord.size_interval(pi, pi_prime)
             else:
