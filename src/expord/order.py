@@ -26,8 +26,8 @@ block decision and, once asked for, its minimal-size outcome.  Every
 question about that pair reads them instead of solving again, and still
 builds and verifies its own certificate.  A different pair, even an equal
 one, replaces the entry, and an exception is never remembered.
-``value.falsify_bound`` reads its refutation outside the order off the
-same blocks.
+``value.falsify_bound`` asks the size cap that ``check_weighted`` asks,
+so outside the order it reads the same blocks.
 """
 
 from __future__ import annotations
@@ -268,6 +268,7 @@ def _decide(
 ) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
     """Decide the psi feasibility program under ``columns``, its blocks first.
 
+    Past feasible blocks, ``columns`` adds one solve of the linked program.
     Returns the verified certificate (the block points if ``columns`` is
     None) when the program is feasible.  Otherwise entry [s][t] of the
     returned table is the multiplier y(s, t) of the reproduction row at
@@ -277,20 +278,13 @@ def _decide(
     feasible, found = _relax(pi, pi_prime)
     if not feasible:
         return found
-    return _certify(pi, pi_prime, found) if columns is None else _link(pi, pi_prime, columns)
-
-
-def _link(
-    pi: Experiment,
-    pi_prime: Experiment,
-    columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]],
-) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
-    """:func:`_decide` past feasible blocks: one solve of the linked program."""
-    outcome = solve(_psi_program(pi, pi_prime, columns))
-    if outcome.status == INFEASIBLE:
-        n = pi.n_states
-        return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
-    return _certify(pi, pi_prime, outcome.x)
+    if columns is not None:
+        outcome = solve(_psi_program(pi, pi_prime, columns))
+        if outcome.status == INFEASIBLE:
+            n = pi.n_states
+            return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+        found = outcome.x
+    return _certify(pi, pi_prime, found)
 
 
 def check_weighted(

@@ -10,8 +10,8 @@ size beta yields the guarantee
 
 for every decision problem, and the guarantee is not merely sound but
 complete: when the order fails at size beta, an explicitly violating
-decision problem can be constructed from the dual of a Blackwell
-feasibility LP on the diluted experiment.
+decision problem can be constructed from the Farkas multipliers of the
+size-beta cap, the program the order module decides.
 
 The value and the bound run on integers.  One scoring kernel forms each
 signal's joint measure in ints, from the prior and the likelihood matrix
@@ -28,7 +28,7 @@ the one that computed it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -39,19 +39,17 @@ from .experiments import (
     _fresh_label,
     _is_count,
     _require_shared_states,
-    dilute,
     residual_experiment,
 )
 from .numerics import (
-    EQ,
+    LE,
     InternalError,
     InvalidInput,
     RationalLike,
     _clear_denominators,
     as_rational,
-    farkas_verifies,
 )
-from .order import GarblingCertificate, _block, _link, _relax, verify_certificate
+from .order import GarblingCertificate, _decide, verify_certificate
 
 
 @dataclass(frozen=True)
@@ -240,42 +238,29 @@ def falsify_bound(
 ) -> DecisionProblem | None:
     """Find a decision problem violating the size-beta guarantee, if any.
 
-    The guarantee holds for every decision problem exactly when the
-    dilution of ``pi`` by beta is a Blackwell garbling of ``pi_prime``.
-    When that LP is infeasible, its Farkas multipliers y(s, t) on the
-    reproduction rows price the states: actions indexed by the diluted
-    signals with payoffs u(a_s, t) = y(s, t) |states| under the uniform
-    prior make the diluted experiment worth strictly more than
-    ``pi_prime``, a strict violation of the bound.  Outside the order the
-    multipliers are one block's, a bet on a posterior of ``pi`` off the
-    hull of ``pi_prime``'s, so one problem refutes every beta: there V(P')
-    = V(null) = 0 < V(P) / beta.  That row is read off the undiluted
-    pair's blocks, which the order module remembers for the last pair
-    asked about, and checked by substitution against the diluted block,
-    stated as block s with right-hand sides pi(s|t) / beta, so no diluted
-    experiment is built outside the order.
+    The guarantee holds for every decision problem exactly when ``pi`` is a
+    weighted garbling of ``pi_prime`` of size at most beta, so this asks
+    the order that capped question, the program ``check_weighted(pi,
+    pi_prime, beta)`` decides.  When it is infeasible, the multipliers
+    y(s, t) of its reproduction rows price the states: actions a_s with
+    payoffs u(a_s, t) = y(s, t) |states|, and a null action paying zero,
+    under the uniform prior make V(P) / beta exceed V(P'), which the
+    nonpositive multipliers of the column rows bound, a strict violation
+    of the bound.  Outside the order the multipliers are the first
+    infeasible block's, which the order module remembers for the last
+    pair asked about: a bet on a posterior of ``pi`` off the hull of
+    ``pi_prime``'s, so one problem refutes every beta, with V(P') =
+    V(null) = 0 < V(P) / beta.
     Payoffs are rescaled into [-1, 1] and the violation is re-verified
     before returning.
     """
     scale = as_rational(beta)
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
-    feasible, farkas = _relax(pi, pi_prime)
-    if feasible:
-        # The diluted blocks are pi's at 1/beta of the mass, and a null block
-        # that pi_prime's signals sum to: all feasible, so the linked program decides.
-        farkas = _link(dilute(pi, scale), pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
-        if isinstance(farkas, GarblingCertificate):
-            return None
-    else:
-        # Block s of the diluted pair is pi's with right-hand sides pi(s|t) / beta,
-        # which keeps its Farkas row; the null signal's row is zero.
-        s = next(i for i, row in enumerate(farkas) if any(row))
-        block = _block(pi, pi_prime, s)
-        rows = tuple((coeffs, relation, rhs / scale) for coeffs, relation, rhs in block.rows)
-        if not farkas_verifies(replace(block, rows=rows), farkas[s]):
-            raise InternalError("the block's Farkas row does not refute its diluted block")
-        farkas += ((Fraction(0),) * pi.n_states,)
+    farkas = _decide(pi, pi_prime, ((), LE, (scale,) * pi_prime.n_signals))
+    if isinstance(farkas, GarblingCertificate):
+        return None
+    farkas += ((Fraction(0),) * pi.n_states,)
     # The payoffs are y |states|, divided by their peak when it exceeds one:
     # with y = f / D over integers f and P = max |f|, that is f / P when
     # P |states| > D and f |states| / D otherwise.

@@ -14,7 +14,9 @@ decision, ``_decide``: the first solved the Blackwell program a second time
 for its Farkas multipliers, the second checked Blackwell garbling against
 the reweighted base experiment and rescaled the channel by the weight.
 ``blackwell_program`` states the Blackwell program independently of
-``expord.order``, in the row order ``_psi_program`` documents.
+``expord.order``, in the row order ``_psi_program`` documents, and
+``diluted_farkas`` completes a falsifier's payoff table to a Farkas vector
+of the Blackwell program of the diluted pair.
 
 ``psi_program``, ``column_sum``, ``certify``, ``decide``, ``check_weighted``,
 ``check_blackwell_coupled``, ``min_size_outcome``, ``from_conditional_coupled``
@@ -123,6 +125,22 @@ def blackwell_program(pi, pi_prime):
     for j in range(n_sp):
         rows.append(([int(k % n_sp == j) for k in range(n_vars)], EQ, 1))
     return linear_program([0] * n_vars, rows)
+
+
+def diluted_farkas(table, pi_prime):
+    """``table``, rows [signal][state] with the null signal's last, plus column multipliers.
+
+    Column j gets the largest multiplier the dual rows allow,
+    u_j = -max_s sum_t y(s, t) pi_prime(j|t) over every row, the null one
+    too, so the vector refutes ``blackwell_program(dilute(pi, beta),
+    pi_prime)`` exactly when some multipliers of its column rows do.  With
+    a zero null row, u_j is -max(0, max over pi's signals).
+    """
+    columns = [
+        -max(sum(y * prime[j] for y, prime in zip(row, pi_prime.matrix)) for row in table)
+        for j in range(pi_prime.n_signals)
+    ]
+    return [y for row in table for y in row] + columns
 
 
 def blackwell_farkas(pi, pi_prime):

@@ -647,10 +647,13 @@ class TestOneDecisionAgainstParentBodies:
         assert compared > 1000 and zero_weights > 100 and 0 < refused < compared
 
     def test_falsify_bound_on_every_pair(self, corpus):
-        # Ordered pairs decide as the coupled solve did: they hold from their
-        # minimal size on, which gives the Blackwell side its cases.  Outside
+        # The falsifier exists exactly when the diluted pair's Blackwell
+        # program is infeasible, and its table, with the largest column
+        # multipliers, refutes that program.  Ordered pairs hold from their
+        # minimal size on, which gives the Blackwell side its cases; there
+        # the cap-beta table may differ from the diluted decision's.  Outside
         # the order the first infeasible block refutes every size, with one
-        # Farkas row that the whole diluted Blackwell program accepts.
+        # Farkas row, and the problem is the one the diluted decision gave.
         compared = refuted = outside = 0
         for pi, _prior, pi_prime in corpus:
             ordered = check_weighted(pi, pi_prime) is not None
@@ -666,18 +669,21 @@ class TestOneDecisionAgainstParentBodies:
                 compared += 1
                 if table is None:
                     continue
+                refuted += 1
+                program = reference_order.blackwell_program(diluted, pi_prime)
+                assert farkas_verifies(
+                    program, reference_order.diluted_farkas(problem.payoffs, pi_prime)
+                )
+                report = verify_bound(problem, pi, pi_prime, beta)
+                assert not report.holds
+                if ordered:
+                    continue
                 scaled = [[y * pi.n_states for y in row] for row in table]
                 peak = max(1, max(abs(v) for row in scaled for v in row))
                 assert problem.payoffs == tuple(tuple(v / peak for v in row) for row in scaled)
-                refuted += 1
-                if ordered:
-                    continue
                 assert sum(any(row) for row in table) == 1
-                program = reference_order.blackwell_program(diluted, pi_prime)
                 assert farkas_verifies(program, _padded(table, pi_prime.n_signals))
-                report = verify_bound(problem, pi, pi_prime, beta)
                 assert report.value_prime == report.value_noinfo == 0 < report.value_pi / beta
-                assert not report.holds
                 problems.append(problem)
             if not ordered:
                 assert len(problems) == 4 and all(p == problems[0] for p in problems)

@@ -1,6 +1,8 @@
 """Decision-problem values, the size-beta payoff bound, and its falsifier."""
 
 import hashlib
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from expord import (
     PolicyTable,
     Prior,
     check_blackwell,
+    check_weighted,
     decision_problem,
     dilute,
     falsify_bound,
@@ -29,8 +32,10 @@ from expord import (
     value_null,
     verify_bound,
 )
+import expord
 from expord import documents as docs
 import expord.order as order_module
+from expord import numerics
 from expord.numerics import farkas_verifies
 from expord.generators import (
     binary_symmetric,
@@ -212,23 +217,64 @@ class TestFalsifyBound:
         assert problem.prior.weights == (F(1, 2), F(1, 2))
 
     def test_outside_the_order_it_reads_the_undiluted_blocks(self):
-        # The diluted pair's own decision gives the same problem at every
-        # beta, and the undiluted Farkas table, padded with a zero row for
-        # the null signal, refutes the whole diluted Blackwell program.
-        outside = 0
+        # Outside the order the problem is the diluted pair's own decision's
+        # at every beta.  Inside it the cap-beta table may differ, but it
+        # exists exactly when that decision refutes, and with its zero null
+        # row and the largest column multipliers it refutes the whole diluted
+        # Blackwell program.
+        outside = inside = 0
         for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
+            ordered = order_module._relax(pi, pi_prime)[0]
             for beta in (1, 2, 4, 8):
                 problem = falsify_bound(pi, pi_prime, beta)
-                assert problem == reference_order.falsify_bound(pi, pi_prime, beta)
-                feasible, table = order_module._relax(pi, pi_prime)
-                if feasible:
+                expected = reference_order.falsify_bound(pi, pi_prime, beta)
+                assert (problem is None) == (expected is None)
+                if problem is None:
                     continue
-                outside += 1
-                padded = [y for row in table for y in row]
-                padded += [F(0)] * (pi.n_states + pi_prime.n_signals)
+                if ordered:
+                    inside += 1
+                else:
+                    assert problem == expected
+                    outside += 1
                 program = reference_order.blackwell_program(dilute(pi, beta), pi_prime)
-                assert farkas_verifies(program, padded)
-        assert outside > 400
+                assert farkas_verifies(
+                    program, reference_order.diluted_farkas(problem.payoffs, pi_prime)
+                )
+        assert outside > 400 and inside > 0
+
+    def test_one_capped_solve_in_the_order_and_none_outside(self, monkeypatch):
+        # The falsifier asks the program check_weighted(max_size=beta) states,
+        # on the undiluted pair, and nothing at all once the blocks refute.
+        captured = []
+        real = numerics.solve
+
+        def spy(lp):
+            captured.append(lp)
+            return real(lp)
+
+        for info in pkgutil.iter_modules(expord.__path__):
+            module = importlib.import_module(f"expord.{info.name}")
+            if getattr(module, "solve", None) is real:
+                monkeypatch.setattr(module, "solve", spy)
+        seen = set()
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 40):
+            ordered = check_weighted(pi, pi_prime) is not None
+            n_s, n_sp = pi.n_signals, pi_prime.n_signals
+            for beta in (1, F(3, 2), 2, 8):
+                del captured[:]
+                falsify_bound(pi, pi_prime, beta)
+                if not ordered:
+                    assert captured == []
+                    continue
+                assert [(len(lp.rows), lp.n_variables) for lp in captured] == [
+                    (n_s * pi.n_states + n_sp, n_s * n_sp)
+                ]
+            seen.add(ordered)
+        assert seen == {True, False}
+        # expord.value the attribute is the function, so name the module.
+        module = vars(importlib.import_module("expord.value"))
+        assert "falsify_bound" in module
+        assert not {"dilute", "_block", "_link", "_relax"} & set(module)
 
 
 class TestRandomDecisionProblem:
