@@ -34,15 +34,7 @@ from .experiments import (
     make_weight,
     regularize,
 )
-from .numerics import (
-    EQ,
-    INFEASIBLE,
-    OPTIMAL,
-    InternalError,
-    InvalidInput,
-    linear_program,
-    solve,
-)
+from .numerics import EQ, INFEASIBLE, InvalidInput, LinearProgram, solve
 from .order import _relax
 
 Belief = tuple[Fraction, ...]
@@ -156,54 +148,33 @@ class HullMembershipCertificate:
                 raise InvalidInput("coefficients do not reproduce the point")
 
 
-def _hull_lp(point: Belief, generators: Sequence[Belief]):
-    n_gen = len(generators)
-    rows = []
-    for t in range(len(point)):
-        coeffs = [g[t] for g in generators]
-        rows.append((coeffs, EQ, point[t]))
-    rows.append(([Fraction(1)] * n_gen, EQ, Fraction(1)))
-    return solve(linear_program([Fraction(0)] * n_gen, rows, sense="min"))
-
-
 def hull_decide(
     point: Belief, generators: Sequence[Belief]
 ) -> HullMembershipCertificate | tuple[Fraction, ...]:
     """Exact convex-hull membership, decided by one LP.
 
-    Inside the hull this returns convex coefficients (one choice among
-    possibly many).  Outside it returns a linear functional h with
-    h . g <= 0 for every generator and h . point > 0, built from the
-    Farkas certificate of the same LP: the multipliers (y, z) satisfy
-    y . g_k + z <= 0 for every generator and y . point + z > 0, and since
-    beliefs sum to one, h = y + z folds the offset into the functional.
-    That fold is why the point and every generator must pass
-    :func:`~expord.experiments.check_belief`, with the point's dimension.
-    Both separation inequalities are re-checked before returning.
+    Beliefs sum to one, so nonnegative coefficients that reproduce a belief
+    from beliefs sum to one too: the cone of the generators meets the
+    simplex in their hull.  That is why the point and every generator must
+    pass :func:`~expord.experiments.check_belief`, with the point's
+    dimension, and why the program, like :func:`~expord.order._block`, has
+    one row per state, sum_k c_k g_k[t] = point[t] over c >= 0, and no
+    convexity row.  Inside the hull this returns its coefficients (one
+    choice among possibly many).  Outside it returns the program's Farkas
+    row h itself, which :func:`~expord.numerics.solve` has checked:
+    h . g <= 0 for every generator and h . point > 0.
     """
     if not generators:
         raise InvalidInput("at least one generator is required")
     point = check_belief(point, len(point))
-    generators = [check_belief(g, len(point)) for g in generators]
-    outcome = _hull_lp(point, generators)
-    if outcome.status == OPTIMAL:
-        return HullMembershipCertificate(
-            point=point,
-            generators=tuple(generators),
-            coefficients=outcome.x,
-        )
-    if outcome.status != INFEASIBLE:
-        raise InternalError(f"hull membership program came back {outcome.status}")
-    y = outcome.farkas
-    z = y[-1]
-    h = tuple(y_t + z for y_t in y[:-1])
-
-    def pairing(belief: Belief) -> Fraction:
-        return sum((h_t * belief[t] for t, h_t in enumerate(h)), Fraction(0))
-
-    if any(pairing(g) > 0 for g in generators) or pairing(point) <= 0:
-        raise InternalError("hull Farkas certificate does not separate the point")
-    return h
+    generators = tuple(check_belief(g, len(point)) for g in generators)
+    n_gen = len(generators)
+    rows = tuple((tuple(g[t] for g in generators), EQ, p_t) for t, p_t in enumerate(point))
+    outcome = solve(LinearProgram((Fraction(0),) * n_gen, "min", rows, (True,) * n_gen))
+    # A zero objective is bounded, so the program is infeasible or optimal.
+    if outcome.status == INFEASIBLE:
+        return outcome.farkas
+    return HullMembershipCertificate(point=point, generators=generators, coefficients=outcome.x)
 
 
 def hull_membership(

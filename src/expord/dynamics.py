@@ -163,6 +163,8 @@ class BeliefSet:
     points: tuple[Belief, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.points, tuple) and all(isinstance(p, tuple) for p in self.points)):
+            raise InvalidInput("belief-set points must be a tuple of tuples")
         if not self.points:
             raise InvalidInput("a belief set needs at least one point")
         dim = len(self.points[0])
@@ -219,6 +221,8 @@ def belief_set(points: Sequence[Sequence[Fraction]]) -> BeliefSet:
 
 
 def full_simplex(n_states: int) -> BeliefSet:
+    if not _is_count(n_states):
+        raise InvalidInput(f"the number of states must be an int, got {n_states!r}")
     if n_states < 1:
         raise InvalidInput("need at least one state")
     axes = range(n_states)

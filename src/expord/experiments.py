@@ -245,10 +245,12 @@ def weight_check(experiment: Experiment, values: Sequence[Fraction]) -> bool:
     """Is ``values`` a valid weight for ``experiment``?
 
     A weight assigns a nonnegative factor to each signal such that the
-    reweighted rows still sum to one in every state.
+    reweighted rows still sum to one in every state.  An entry that is not
+    an int or a Fraction raises InvalidInput.
     """
     if len(values) != experiment.n_signals:
         return False
+    _check_measure(values, experiment.n_signals)
     if any(v < 0 for v in values):
         return False
     for row in experiment.matrix:
@@ -273,6 +275,8 @@ class Weight:
     def __post_init__(self) -> None:
         if not self.values:
             raise InvalidInput("a weight needs at least one factor")
+        if not all(isinstance(v, Fraction) for v in (*self.values, self.size)):
+            raise InvalidInput("weight factors and size must be Fractions")
         if self.size != max(self.values):
             raise InvalidInput("weight size must equal the largest factor")
         if self.size < 1:

@@ -18,6 +18,7 @@ from expord import (
     OPTIMAL,
     UNBOUNDED,
     GarblingCertificate,
+    HullMembershipCertificate,
     OrderError,
     StoppingProblem,
     belief_set,
@@ -33,6 +34,7 @@ from expord import (
     farkas_verifies,
     from_conditional,
     full_simplex,
+    hull_decide,
     iid_chain,
     markov_chain,
     merging_horizon,
@@ -41,6 +43,7 @@ from expord import (
     posteriors,
     random_decision_problem,
     ray_verifies,
+    regularize,
     size_interval,
     solution_feasible,
     solve,
@@ -170,17 +173,30 @@ def test_belief_check_matches_the_hull_reference(corpus):
 
     Each pair is asked at its corpus prior and at one seeded random prior.
     The reference decides each posterior of ``pi`` by its own hull program,
-    in normalized beliefs against the regularized generators.
+    in normalized beliefs against the regularized generators.  Each of those
+    posteriors is also put to ``hull_decide`` and to the parent body with its
+    convexity row: the coefficients must be equal, and the cone program's
+    functional exactly half of the folded one.
     """
     rng = random.Random(7)
-    ordered = 0
+    ordered = separated = 0
     for index, (pi, prior, pi_prime) in enumerate(corpus):
         for mu in (prior, random_prior(rng, pi.n_states)):
             found = check_weighted_beliefs(pi, pi_prime, mu)
             expected = reference_beliefs.check_weighted_beliefs(pi, pi_prime, mu)
             assert found == expected, f"pair {index} at prior {mu.weights}"
             ordered += found is not None
+            generators = posteriors(regularize(pi_prime), mu).beliefs
+            for atom in posteriors(pi, mu).atoms:
+                decision = hull_decide(atom.belief, generators)
+                parent = reference_beliefs.reference_hull_decide(atom.belief, generators)
+                if isinstance(parent, HullMembershipCertificate):
+                    assert decision == parent, f"pair {index} at prior {mu.weights}"
+                else:
+                    assert decision == tuple(h / 2 for h in parent), f"pair {index}"
+                    separated += 1
     assert 0 < ordered < 2 * len(corpus)
+    assert separated > 0
 
 
 def test_criterion_3_blackwell_iff_unit_size(corpus, corpus_sizes, capsys):

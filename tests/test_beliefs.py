@@ -160,6 +160,31 @@ class TestHullMembership:
         for g in generators:
             assert sum(h_t * p for h_t, p in zip(h, g)) <= 0
 
+    def test_one_cone_program_whose_farkas_row_is_the_functional(self, monkeypatch):
+        # One program per call: a row per state, a column per generator and
+        # no all-ones convexity row.  Outside the hull the functional is that
+        # program's Farkas row, which solve has already checked.
+        module = importlib.import_module("expord.beliefs")
+        real, seen = module.solve, []
+
+        def spy(lp):
+            seen.append((lp, real(lp)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(module, "solve", spy)
+        generators = [(F(9, 10), F(1, 10), F(0)), (F(1, 10), F(9, 10), F(0)), (F(1, 3),) * 3]
+        kinds = []
+        for point in ((F(1, 2), F(1, 2), F(0)), (F(19, 20), F(1, 20), F(0))):
+            seen.clear()
+            decision = hull_decide(point, generators)
+            [(lp, outcome)] = seen
+            assert len(lp.rows) == len(point) and lp.n_variables == len(generators)
+            assert all(coeffs != (F(1),) * len(generators) for coeffs, _, _ in lp.rows)
+            inside = isinstance(decision, HullMembershipCertificate)
+            assert decision.coefficients == outcome.x if inside else decision == outcome.farkas
+            kinds.append(inside)
+        assert kinds == [True, False]
+
 
 class TestCheckWeightedBeliefs:
     def test_identity_pair_diagonal(self):

@@ -158,6 +158,16 @@ class TestBeliefSetPoints:
         with pytest.raises(InvalidInput):
             BeliefSet(points=((F(2), F(-1)),)).l1_distance((F(1, 2), F(1, 2)))
 
+    @pytest.mark.parametrize(
+        "points",
+        [[[F(1), F(0)]], ([F(1), F(0)],), [(F(1), F(0))]],
+        ids=["list of lists", "tuple of lists", "list of tuples"],
+    )
+    def test_points_are_a_tuple_of_tuples(self, points):
+        # A frozen set of lists would be unhashable and unequal to its tuple form.
+        with pytest.raises(InvalidInput):
+            BeliefSet(points=points)
+
 
 class TestEtaStep:
     def test_iid_image_is_the_posterior_hull(self):
@@ -412,6 +422,11 @@ class TestCountArguments:
     def test_eta_max_iter(self, max_iter):
         with pytest.raises(InvalidInput):
             eta_limit(IID_UNIFORM, binary_symmetric("3/5"), max_iter=max_iter)
+
+    @pytest.mark.parametrize("n_states", [2.0, True, F(2), "2"])
+    def test_full_simplex_states(self, n_states):
+        with pytest.raises(InvalidInput):
+            full_simplex(n_states)
 
 
 FLOATS = [0.5, 0.0, float("inf"), float("nan")]

@@ -128,6 +128,28 @@ class TestWeights:
         with pytest.raises(InvalidInput):
             Weight(values=(), size=F(1))
 
+    @pytest.mark.parametrize(
+        "values, size",
+        [((0.5, 1.5), 1.5), ((F(1, 2), F(3, 2)), 1.5), ((F(1), 1), F(1)), ((F(1),), 1)],
+        ids=["floats", "float size", "int factor", "int size"],
+    )
+    def test_weight_holds_fractions_alone(self, values, size):
+        with pytest.raises(InvalidInput):
+            Weight(values=values, size=size)
+
+    @pytest.mark.parametrize(
+        "values", [[0.5, 1.5], ["1/2", "3/2"], [True, 1]], ids=["floats", "strings", "bool"]
+    )
+    def test_weight_check_refuses_loose_entries(self, values):
+        # Each vector, read as rationals, is a valid weight of this experiment.
+        with pytest.raises(InvalidInput):
+            weight_check(binary_symmetric("1/2"), values)
+
+    def test_weight_check_still_answers_false_on_length_and_validity(self):
+        e = binary_symmetric("1/2")
+        assert weight_check(e, [F(1, 2), F(3, 2)]) and weight_check(e, [1, 1])
+        assert not weight_check(e, [1]) and not weight_check(e, [F(2), 1])
+
 
 class TestApplyWeight:
     def test_unit_weight_identity(self):

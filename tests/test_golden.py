@@ -26,8 +26,11 @@ GOLDEN = {
         ["-O", "-m", "expord.cli", "selftest", "--seed", "0"],
         "621374fb3c744efcca519b6adfa73e3a",
     ),
+    # The separating functional is now the Farkas row of the cone program,
+    # which has no convexity row to fold in: exactly half the folded one, so
+    # "(2, -8)" prints as "(1, -4)" and its value at the point 1 as 1/2.
     "belief_geometry": (
-        ["demos/belief_geometry.py"], "17d44630c131af4af0643165470c816d"
+        ["demos/belief_geometry.py"], "895f450b32d2e65ef0678fc9d3b64822"
     ),
     "order_certificates": (
         ["demos/order_certificates.py"], "eca329b3d30a28cf72a235b1b30e9740"

@@ -418,8 +418,8 @@ class TestBeliefCommands:
         ],
     )
     def test_hull_check_non_belief_exits_two(self, capsys, point, generators):
-        # The separating functional folds the offset in assuming every point
-        # sums to one, so these used to fail its re-check and exit 3.
+        # The cone program decides hull membership only for beliefs, so
+        # check_belief refuses these points and generators before any solve.
         code, doc = invoke(
             capsys, "hull-check", "--point", point, "--generators", generators
         )
