@@ -138,6 +138,13 @@ class HullMembershipCertificate:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not (
+            isinstance(self.point, tuple)
+            and isinstance(self.coefficients, tuple)
+            and isinstance(self.generators, tuple)
+            and all(isinstance(g, tuple) for g in self.generators)
+        ):
+            raise InvalidInput("hull point, coefficients and generators must be tuples")
         _check_distribution(self.coefficients, len(self.generators), "hull coefficient vector")
         for t in range(len(self.point)):
             mixed = sum(

@@ -205,6 +205,8 @@ class Prior:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, tuple):
+            raise InvalidInput(f"prior weights must be a tuple, got {self.weights!r}")
         _check_distribution(self.weights, len(self.weights), "prior")
 
     @cached_property
@@ -273,6 +275,8 @@ class Weight:
     size: Fraction
 
     def __post_init__(self) -> None:
+        if not isinstance(self.values, tuple):
+            raise InvalidInput(f"weight factors must be a tuple, got {self.values!r}")
         if not self.values:
             raise InvalidInput("a weight needs at least one factor")
         if not all(isinstance(v, Fraction) for v in (*self.values, self.size)):

@@ -9,12 +9,17 @@ positive denominator it was last brought up to, and a pivot rewrites only
 the rows with a nonzero entry in its column, each by exact integer
 quotients; rows are brought up to the shared denominator before a phase
 starts and before a point or ray is read.  This gives the same pivots as a
-Fraction tableau, without a gcd per entry.  Outcomes carry machine-checkable
-evidence: an optimal point and its dual, a Farkas certificate of
-infeasibility, or an unbounded ray.  Two exact checks over one integer form
-of the program, a primal one and a dual one, verify every outcome before it
-is returned, which keeps every caller honest; a failed check raises
-:class:`InternalError` and survives ``python -O``.
+Fraction tableau, without a gcd per entry.  Phase one reads only the rows
+and sign flags, never the objective, so a caller that asks several
+objectives over the same rows runs it once (``_phase_one``) and finishes
+each objective from the feasible tableau it leaves (``_phase_two``, which
+works on a copy); each outcome is the one :func:`solve` gives for that
+objective.  Outcomes carry machine-checkable evidence: an optimal point
+and its dual, a Farkas certificate of infeasibility, or an unbounded
+ray.  Two exact checks over one integer form of the program, a primal one
+and a dual one, verify every outcome before it is returned, which keeps
+every caller honest; a failed check raises :class:`InternalError` and
+survives ``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
 finite statistical experiments (tens of variables, tens of rows).  It makes
@@ -112,6 +117,8 @@ class LinearProgram:
     nonneg: tuple[bool, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(part, tuple) for part in (self.objective, self.rows, self.nonneg)):
+            raise InvalidInput("objective, rows and nonneg flags must be tuples")
         n = len(self.objective)
         if n == 0:
             raise InvalidInput("a linear program needs at least one variable")
@@ -123,7 +130,10 @@ class LinearProgram:
             raise InvalidInput("nonneg flags must be bools")
         if not all(isinstance(c, Fraction) for c in self.objective):
             raise InvalidInput("objective coefficients must be Fractions")
-        for coeffs, relation, rhs in self.rows:
+        for row in self.rows:
+            if not (isinstance(row, tuple) and len(row) == 3 and isinstance(row[0], tuple)):
+                raise InvalidInput("each row must be a (coefficients tuple, relation, rhs) tuple")
+            coeffs, relation, rhs = row
             if len(coeffs) != n:
                 raise InvalidInput(
                     f"row has {len(coeffs)} coefficients, expected {n}"
@@ -317,6 +327,16 @@ class _Tableau:
     def drop_row(self, i: int) -> None:
         del self.rows[i], self.at[i], self.basis[i]
 
+    def copy(self) -> _Tableau:
+        """A tableau that pivots apart from this one.
+
+        Every step replaces a row with a new list and never writes into
+        one, so the copy shares the rows themselves.
+        """
+        other = _Tableau(list(self.rows), list(self.basis), self.n_cols)
+        other.at, other.d, other.cost = list(self.at), self.d, self.cost
+        return other
+
     def set_cost(self, cost: list[int]) -> None:
         """Start a phase: price out the basic columns of integer costs ``cost``."""
         self.bring_all_up()
@@ -391,28 +411,50 @@ def _clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve an exact LP, returning a verified outcome.
+@dataclass(frozen=True, eq=False)
+class _Feasible:
+    """A program past phase one, which :func:`_phase_two` finishes for any objective.
 
-    The program is brought to standard form (free variables split, rows
-    sign-normalized, slacks and artificials appended), then phase one
-    minimizes the artificial mass.  A positive phase-one optimum yields a
-    Farkas certificate read off the initial identity columns; otherwise
-    phase two optimizes the true objective with artificials barred from
-    re-entering the basis.
+    ``tableau`` holds the feasible basis that phase one and the drive-out
+    left, every row brought up to ``d``; phase two prices a copy of it and
+    never writes it.  ``col_var[c]`` is the variable and sign of structural
+    column ``c``, ``flipped[i]`` marks row ``i`` as negated to a nonnegative
+    right-hand side, ``init_col[i]`` is row ``i``'s initial identity column,
+    ``artificial`` holds the artificial columns, and ``scale`` is the LCM
+    ``D`` of the row denominators.
+    """
 
-    Every row is multiplied once by the LCM ``D`` of all row denominators,
-    so the simplex runs on integers; slacks and artificials stay unit
-    columns, of variables rescaled by ``D``.  Row scaling and a positive
-    cost scaling keep every sign and the order of every ratio, so the pivots
-    are exactly those of the same simplex over Fractions.  Only a ray along
-    an entering slack picks up the factor ``D``.  An optimum's dual is read
-    off the final cost row like the Farkas certificate.  Every outcome is
-    checked against ``lp`` (an optimum's point and dual, a certificate, a
-    ray and its origin), and a failed check raises :class:`InternalError`.
+    lp: LinearProgram
+    tableau: _Tableau
+    col_var: tuple[tuple[int, int], ...]
+    flipped: tuple[bool, ...]
+    init_col: tuple[int, ...]
+    artificial: frozenset[int]
+    scale: int
+
+
+def _multipliers(
+    start: _Feasible, tableau: _Tableau, costs: list[int], num: int, den: int, negate: bool
+) -> tuple[Fraction, ...]:
+    """One multiplier per row of ``start.lp``, read off ``tableau``'s cost row.
+
+    Row i's multiplier is the phase cost less the reduced cost at its
+    identity column, times num / den; it changes sign if flip != negate.
+    """
+    d, reduced = tableau.d, tableau.cost
+    return tuple([
+        Fraction((costs[col] * d - reduced[col]) * (num if flip == negate else -num), d * den)
+        for col, flip in zip(start.init_col, start.flipped)
+    ])
+
+
+def _phase_one(lp: LinearProgram) -> LpOutcome | _Feasible:
+    """Phase one of :func:`solve`: the checked Farkas outcome, or a feasible start.
+
+    It reads the rows and sign flags of ``lp`` and never its objective or
+    sense, so one start serves every objective over the same rows.
     """
     n = lp.n_variables
-    minimize = lp.sense == "min"
 
     # Structural columns: one per nonnegative variable, a +/- pair per free one.
     col_var: list[tuple[int, int]] = []
@@ -424,7 +466,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     m = len(lp.rows)
     integer_rows, scale = lp._integer_rows
-    flipped = [rhs < 0 for _coeffs, _relation, rhs in integer_rows]
+    flipped = tuple([rhs < 0 for _coeffs, _relation, rhs in integer_rows])
     prepared: list[tuple[Sequence[int], str, int]] = []
     for flip, (coeffs, relation, rhs) in zip(flipped, integer_rows):
         if flip:
@@ -460,15 +502,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     artificial_cols = frozenset(range(n_struct + n_slack, n_cols))
     tableau = _Tableau(rows, basis, n_cols)
-
-    def row_multipliers(costs: list[int], num: int, den: int, negate: bool) -> tuple:
-        # Row i's multiplier is the phase cost less the reduced cost at its
-        # identity column, times num / den; it changes sign if flip != negate.
-        d, reduced = tableau.d, tableau.cost
-        return tuple([
-            Fraction((costs[col] * d - reduced[col]) * (num if flip == negate else -num), d * den)
-            for col, flip in zip(init_col, flipped)
-        ])
+    start = _Feasible(lp, tableau, tuple(col_var), flipped, tuple(init_col), artificial_cols, scale)
 
     if m > 0:
         phase_one = [0] * (n_struct + n_slack) + [1] * n_art
@@ -479,7 +513,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         # Basic values are nonnegative, so the artificial mass is positive
         # exactly when one of them is nonzero, whatever the row scales.
         if any(tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols):
-            y = row_multipliers(phase_one, 1, 1, False)
+            y = _multipliers(start, tableau, phase_one, 1, 1, False)
             if not farkas_verifies(lp, y):
                 raise InternalError("simplex produced a bad Farkas certificate")
             return LpOutcome(status=INFEASIBLE, farkas=y)
@@ -498,14 +532,34 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 tableau.pivot(i, pivot_col)
             else:
                 tableau.drop_row(i)
+    tableau.bring_all_up()
+    return start
+
+
+def _phase_two(start: _Feasible, objective: tuple[Fraction, ...], sense: str) -> LpOutcome:
+    """Phase two of :func:`solve` from ``start``, for ``objective`` and ``sense``.
+
+    Returns what :func:`solve` returns for ``start.lp`` with that objective
+    and sense, after the same checks, and leaves ``start`` as it was.
+    """
+    lp = start.lp
+    if objective is not lp.objective or sense != lp.sense:
+        priced = LinearProgram(objective, sense, lp.rows, lp.nonneg)
+        # The same rows have the same integer form, which every check reads.
+        priced.__dict__["_integer_rows"] = lp._integer_rows
+        lp = priced
+    n, col_var, scale = lp.n_variables, start.col_var, start.scale
+    n_struct = len(col_var)
+    minimize = sense == "min"
+    tableau = start.tableau.copy()
 
     # Phase two minimizes cost_scale * c, or -cost_scale * c for a max program.
-    objective, cost_scale = _clear_denominators(lp.objective)
-    phase_two = [sign * objective[var] for var, sign in col_var] + [0] * (n_slack + n_art)
+    costs, cost_scale = _clear_denominators(objective)
+    phase_two = [sign * costs[var] for var, sign in col_var] + [0] * (tableau.n_cols - n_struct)
     if not minimize:
         phase_two = [-c for c in phase_two]
     tableau.set_cost(phase_two)
-    status, entering = tableau.minimize(banned=artificial_cols)
+    status, entering = tableau.minimize(banned=start.artificial)
     tableau.bring_all_up()
 
     # The point's numerators over d; its objective is read off them in ints.
@@ -534,8 +588,33 @@ def solve(lp: LinearProgram) -> LpOutcome:
             raise InternalError("simplex produced a bad unbounded ray")
         return LpOutcome(status=UNBOUNDED, x=point, ray=ray)
 
-    value = Fraction(sum(map(mul, objective, numerators)), tableau.d * cost_scale)
-    dual = row_multipliers(phase_two, scale, cost_scale, not minimize)
+    value = Fraction(sum(map(mul, costs, numerators)), tableau.d * cost_scale)
+    dual = _multipliers(start, tableau, phase_two, scale, cost_scale, not minimize)
     if not dual_verifies(lp, dual, value):
         raise InternalError("simplex produced a bad dual certificate")
     return LpOutcome(status=OPTIMAL, x=point, objective=value, dual=dual)
+
+
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Solve an exact LP, returning a verified outcome.
+
+    The program is brought to standard form (free variables split, rows
+    sign-normalized, slacks and artificials appended), then phase one
+    minimizes the artificial mass.  Phase one reads only the rows and the
+    sign flags, never the objective.  A positive phase-one optimum yields a
+    Farkas certificate read off the initial identity columns; otherwise
+    phase two optimizes the true objective with artificials barred from
+    re-entering the basis.
+
+    Every row is multiplied once by the LCM ``D`` of all row denominators,
+    so the simplex runs on integers; slacks and artificials stay unit
+    columns, of variables rescaled by ``D``.  Row scaling and a positive
+    cost scaling keep every sign and the order of every ratio, so the pivots
+    are exactly those of the same simplex over Fractions.  Only a ray along
+    an entering slack picks up the factor ``D``.  An optimum's dual is read
+    off the final cost row like the Farkas certificate.  Every outcome is
+    checked against ``lp`` (an optimum's point and dual, a certificate, a
+    ray and its origin), and a failed check raises :class:`InternalError`.
+    """
+    start = _phase_one(lp)
+    return start if isinstance(start, LpOutcome) else _phase_two(start, lp.objective, lp.sense)

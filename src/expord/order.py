@@ -22,9 +22,11 @@ verified Farkas multipliers of the reproduction rows.  A certificate that
 fails its own check raises :class:`InternalError`.
 
 The module remembers the last pair it was asked about, by identity: its
-block decision and, once asked for, its minimal-size outcome.  Every
-question about that pair reads them instead of solving again, and still
-builds and verifies its own certificate.  A different pair, even an equal
+block decision, each feasible block's state after phase one and, once
+asked for, its minimal-size outcome.  Every question about that pair reads
+them instead of solving again, and still builds and verifies its own
+certificate; the largest size finishes the remembered blocks with phase
+two alone, one column objective at a time.  A different pair, even an equal
 one, replaces the entry, and an exception is never remembered.
 ``value.falsify_bound`` asks the size cap that ``check_weighted`` asks,
 so outside the order it reads the same blocks.
@@ -52,6 +54,8 @@ from .numerics import (
     RationalLike,
     _clear_denominators,
     _dual_value,
+    _phase_one,
+    _phase_two,
     as_rational,
     solve,
 )
@@ -87,6 +91,8 @@ class GarblingCertificate:
     psi: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.psi, tuple) and all(isinstance(row, tuple) for row in self.psi)):
+            raise InvalidInput("psi must be a tuple of tuples")
         _check_table(self.psi, self.pi.n_signals, self.pi_prime.n_signals, "psi")
         for row in self.psi:
             for entry in row:
@@ -199,16 +205,15 @@ def _psi_program(
     return LinearProgram(tuple(objective), "min", tuple(rows), (True,) * n_vars)
 
 
-def _block(
-    pi: Experiment, pi_prime: Experiment, s: int,
-    objective: Sequence[Fraction] | None = None, sense: str = "min",
-) -> LinearProgram:
-    """Block ``s`` of the psi program: its |T| reproduction rows over psi(s, .) alone."""
+def _block(pi: Experiment, pi_prime: Experiment, s: int) -> LinearProgram:
+    """Block ``s`` of the psi program: its |T| reproduction rows over psi(s, .) alone.
+
+    Its objective is zero; :func:`size_interval` prices it per column in phase two.
+    """
     _require_shared_states(pi, pi_prime)
     n_sp = pi_prime.n_signals
-    objective = (Fraction(0),) * n_sp if objective is None else tuple(objective)
     rows = tuple((row, EQ, pi.matrix[t][s]) for t, row in enumerate(pi_prime.matrix))
-    return LinearProgram(objective, sense, rows, (True,) * n_sp)
+    return LinearProgram((Fraction(0),) * n_sp, "min", rows, (True,) * n_sp)
 
 
 def _column_sum(pi: Experiment, pi_prime: Experiment, j: int, n_vars: int) -> list[Fraction]:
@@ -228,10 +233,46 @@ def _certify(pi: Experiment, pi_prime: Experiment, x: Sequence[Fraction]) -> Gar
 
 
 # The last pair asked about, by identity: (pi, pi_prime, its _relax result,
-# its min_size outcome or None).  One tuple, rebound in one assignment, so a
-# concurrent reader sees one pair's entry whole; it holds both experiments,
-# so their ids cannot be reused while it lives.
-_last: tuple = (None, None, None, None)
+# each block's phase-one start or None, its min_size outcome or None).  One
+# tuple, rebound in one assignment, so a concurrent reader sees one pair's
+# entry whole; it holds both experiments, so their ids cannot be reused
+# while it lives.
+_last: tuple = (None, None, None, None, None)
+
+
+def _entry(pi: Experiment, pi_prime: Experiment) -> tuple:
+    """The pair's entry in ``_last``, its blocks solved in signal order if it is not there.
+
+    The blocks are solved up to the first infeasible one.  The entry's
+    starts are None past a refutation; otherwise start s is block s after
+    phase one, which :func:`size_interval` finishes for each column, and
+    None at a null signal of ``pi``, whose block gets zeros without a solve.
+    """
+    global _last
+    entry = _last
+    if entry[0] is pi and entry[1] is pi_prime:
+        return entry
+    x: list[Fraction] = []
+    starts: list = []
+    for s in range(pi.n_signals):
+        if not any(row[s] for row in pi.matrix):
+            x += (Fraction(0),) * pi_prime.n_signals
+            starts.append(None)
+            continue
+        block = _block(pi, pi_prime, s)
+        start = _phase_one(block)
+        if isinstance(start, LpOutcome):
+            zeros = (Fraction(0),) * pi.n_states
+            found = False, tuple(start.farkas if i == s else zeros for i in range(pi.n_signals))
+            starts = None
+            break
+        x += _phase_two(start, block.objective, block.sense).x
+        starts.append(start)
+    else:
+        found = True, tuple(x)
+        starts = tuple(starts)
+    entry = _last = (pi, pi_prime, found, starts, None)
+    return entry
 
 
 def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
@@ -241,24 +282,10 @@ def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
     signal of ``pi``, without a solve), or ``(False, table)``: the first
     infeasible block's checked Farkas row, zero on every other row.  With
     zero multipliers on any column rows it refutes the linked program too.
-    The answer is remembered while the pair is the last one asked about.
+    The answer, with each feasible block's phase-one start, is remembered
+    while the pair is the last one asked about.
     """
-    global _last
-    entry = _last
-    if entry[0] is pi and entry[1] is pi_prime:
-        return entry[2]
-    x: list[Fraction] = []
-    for s in range(pi.n_signals):
-        outcome = solve(_block(pi, pi_prime, s)) if any(row[s] for row in pi.matrix) else None
-        if outcome is not None and outcome.status == INFEASIBLE:
-            zeros = (Fraction(0),) * pi.n_states
-            found = False, tuple(outcome.farkas if i == s else zeros for i in range(pi.n_signals))
-            break
-        x += outcome.x if outcome is not None else (Fraction(0),) * pi_prime.n_signals
-    else:
-        found = True, tuple(x)
-    _last = (pi, pi_prime, found, None)
-    return found
+    return _entry(pi, pi_prime)[2]
 
 
 def _decide(
@@ -348,18 +375,17 @@ def _min_size(
     every call certifies it afresh.
     """
     global _last
-    relaxed = _relax(pi, pi_prime)
-    if not relaxed[0]:
+    entry = _entry(pi, pi_prime)
+    if not entry[2][0]:
         return None
-    entry = _last
-    outcome = entry[3] if entry[0] is pi and entry[1] is pi_prime else None
+    outcome = entry[4]
     if outcome is None:
         objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
         columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
         outcome = solve(_psi_program(pi, pi_prime, columns, objective))
         if outcome.status != OPTIMAL:
             raise InternalError(f"min_size program expected optimal, got {outcome.status}")
-        _last = (pi, pi_prime, relaxed, outcome)
+        _last = (*entry[:4], outcome)
     certificate = _certify(pi, pi_prime, outcome.x)
     if certificate.beta != outcome.objective:
         raise InternalError("minimal size differs from the witness's size")
@@ -403,19 +429,30 @@ def size_interval(pi: Experiment, pi_prime: Experiment) -> SizeInterval | None:
     has a null signal.  Otherwise column j's largest sum is the sum of
     psi(s, j)'s maxima over the blocks s, and the largest size is the
     largest of these: a maximizing psi for one column keeps every other
-    column at or below its own maximum.
+    column at or below its own maximum.  Each maximum is phase two of its
+    block, from the phase-one state the pair's entry holds; phase one reads
+    only the rows, so the outcome, dual included, is that of a cold solve.
+    The entry holds no state for a null signal of ``pi``, whose block is
+    started here, once for all columns.
     """
-    if not _relax(pi, pi_prime)[0]:
+    entry = _entry(pi, pi_prime)
+    if not entry[2][0]:
         return None
     n_s, n_sp = pi.n_signals, pi_prime.n_signals
     bounded = all(any(row[j] for row in pi_prime.matrix) for j in range(n_sp))
     # The rows are the same for every column: each dual is checked against them
     # with its column's objective, by the test dual_verifies runs for a max program.
     program = _psi_program(pi, pi_prime) if bounded else None
+    # A null block's right-hand side is zero, so its phase one cannot refute:
+    # a Farkas row would need y . b > 0, and phase one checks the row it returns.
+    starts = [
+        start if start is not None else _phase_one(_block(pi, pi_prime, s))
+        for s, start in enumerate(entry[3] if bounded else ())
+    ]
     columns = []
     for j in range(n_sp if bounded else 0):
-        objective = [Fraction(int(k == j)) for k in range(n_sp)]
-        blocks = [solve(_block(pi, pi_prime, s, objective, "max")) for s in range(n_s)]
+        objective = tuple([Fraction(int(k == j)) for k in range(n_sp)])
+        blocks = [_phase_two(start, objective, "max") for start in starts]
         if any(outcome.status != OPTIMAL for outcome in blocks):
             raise InternalError("a column maximization block is not optimal")
         value = sum(outcome.objective for outcome in blocks)

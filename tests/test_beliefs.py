@@ -1,7 +1,7 @@
 """Posterior geometry: Bayes atoms, hulls, and coupling certificates."""
 
+import dataclasses
 import importlib
-import pkgutil
 import random
 from fractions import Fraction
 
@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import expord
-from expord import numerics
 from expord import (
     CouplingCertificate,
     Experiment,
@@ -42,6 +40,7 @@ from expord.generators import (
     three_signal_family,
     uninformative_experiment,
 )
+from spies import spy_on_solves
 
 F = Fraction
 UNIFORM = uniform_prior(2)
@@ -149,6 +148,21 @@ class TestHullMembership:
         with pytest.raises(InvalidInput):
             hull_membership((F(1), F(0)), [(F(1, 2), F(1, 4), F(1, 4))])
 
+    @pytest.mark.parametrize("field, listed", [
+        ("point", list),
+        ("coefficients", list),
+        ("generators", list),
+        ("generators", lambda generators: tuple(list(g) for g in generators)),
+    ], ids=["point", "coefficients", "generators", "generator"])
+    def test_certificate_refuses_a_list_field(self, field, listed):
+        # A frozen certificate with a list in it could not be hashed.
+        cert = hull_membership(
+            (F(3, 5), F(2, 5)), [(F(9, 10), F(1, 10)), (F(1, 10), F(9, 10))]
+        )
+        hash(cert)
+        with pytest.raises(InvalidInput, match="tuples"):
+            dataclasses.replace(cert, **{field: listed(getattr(cert, field))})
+
     def test_separating_functional_complements_membership(self):
         generators = [(F(9, 10), F(1, 10)), (F(1, 10), F(9, 10))]
         inside = (F(1, 2), F(1, 2))
@@ -218,22 +232,6 @@ class TestCheckWeightedBeliefs:
         assert check_weighted_beliefs(pi, pi_prime, UNIFORM) is None
 
 
-def _spy_on_solve(monkeypatch) -> list:
-    """Record every LP any expord module solves, as ``_corpus_lps`` does."""
-    captured = []
-    real = numerics.solve
-
-    def spy(lp):
-        captured.append(lp)
-        return real(lp)
-
-    for info in pkgutil.iter_modules(expord.__path__):
-        module = importlib.import_module(f"expord.{info.name}")
-        if getattr(module, "solve", None) is real:
-            monkeypatch.setattr(module, "solve", spy)
-    return captured
-
-
 def _fresh(experiment):
     """An equal experiment that no earlier question can have been about."""
     return Experiment(experiment.states, experiment.signals, experiment.matrix)
@@ -241,7 +239,7 @@ def _fresh(experiment):
 
 class TestBeliefCheckReadsTheBlocks:
     def test_a_remembered_pair_solves_nothing(self, monkeypatch):
-        captured = _spy_on_solve(monkeypatch)
+        captured = spy_on_solves(monkeypatch)
         verdicts = set()
         for pi, mu, pi_prime in corpus_pairs(20250814, 30):
             ordered = check_weighted(pi, pi_prime) is not None
@@ -253,7 +251,7 @@ class TestBeliefCheckReadsTheBlocks:
         assert verdicts == {True, False}
 
     def test_a_fresh_pair_solves_only_its_blocks(self, monkeypatch):
-        captured = _spy_on_solve(monkeypatch)
+        captured = spy_on_solves(monkeypatch)
         for pi, mu, pi_prime in corpus_pairs(20250814, 30):
             pi, pi_prime = _fresh(pi), _fresh(pi_prime)
             del captured[:]
@@ -286,7 +284,7 @@ class TestBeliefCheckPriors:
         pi, pi_prime = _fresh(pair[0]), _fresh(pair[1])
         if remembered:
             check_weighted(pi, pi_prime)
-        captured = _spy_on_solve(monkeypatch)
+        captured = spy_on_solves(monkeypatch)
         with pytest.raises(InvalidInput) as caught:
             check_weighted_beliefs(pi, pi_prime, prior(weights))
         assert str(caught.value) == message

@@ -92,6 +92,12 @@ class TestPrior:
         with pytest.raises(InvalidInput):
             prior(["1/2", "1/3"])
 
+    def test_refuses_list_weights(self):
+        # A frozen prior with a list in it could not be hashed.
+        hash(Prior(weights=(F(1, 2), F(1, 2))))
+        with pytest.raises(InvalidInput, match="tuple"):
+            Prior(weights=[F(1, 2), F(1, 2)])
+
     @pytest.mark.parametrize("count", [True, (2,), 2.0, "2", 0])
     def test_uniform_prior_needs_a_positive_int(self, count):
         with pytest.raises(InvalidInput):
@@ -127,6 +133,12 @@ class TestWeights:
     def test_empty_weight_rejected(self):
         with pytest.raises(InvalidInput):
             Weight(values=(), size=F(1))
+
+    def test_list_factors_rejected(self):
+        # A frozen weight with a list in it could not be hashed.
+        hash(Weight(values=(F(1), F(1)), size=F(1)))
+        with pytest.raises(InvalidInput, match="tuple"):
+            Weight(values=[F(1), F(1)], size=F(1))
 
     @pytest.mark.parametrize(
         "values, size",

@@ -5,9 +5,8 @@ substituting the solver's answer back into the constraints with Fraction
 arithmetic.  No tolerances anywhere.
 """
 
-import importlib
+import dataclasses
 import os
-import pkgutil
 import random
 import subprocess
 import sys
@@ -40,6 +39,7 @@ from expord.generators import corpus_pairs, random_lp
 import reference_beliefs
 import reference_simplex
 from reference_simplex import dual_program, reference_solve
+from spies import spy_on_solves
 
 F = Fraction
 
@@ -191,6 +191,23 @@ class TestSolveExamples:
         with pytest.raises(InvalidInput):
             numerics.LinearProgram(objective=objective, sense="min", rows=(row,), nonneg=nonneg)
 
+    @pytest.mark.parametrize(
+        "objective, rows, nonneg",
+        [
+            ([F(1)], (((F(1),), GE, F(1)),), (True,)),
+            ((F(1),), [((F(1),), GE, F(1))], (True,)),
+            ((F(1),), ([(F(1),), GE, F(1)],), (True,)),
+            ((F(1),), (([F(1)], GE, F(1)),), (True,)),
+            ((F(1),), (((F(1),), GE, F(1)),), [True]),
+        ],
+        ids=["objective", "rows", "row", "coefficients", "flags"],
+    )
+    def test_program_refuses_a_list_field(self, objective, rows, nonneg):
+        # A frozen program with a list in it could not be hashed.
+        hash(numerics.LinearProgram((F(1),), "min", (((F(1),), GE, F(1)),), (True,)))
+        with pytest.raises(InvalidInput, match="tuple"):
+            numerics.LinearProgram(objective=objective, sense="min", rows=rows, nonneg=nonneg)
+
     @pytest.mark.parametrize("nonneg", [["no"], [None], [1], [0], ["True"]])
     def test_linear_program_refuses_a_flag_that_is_not_a_bool(self, nonneg):
         # bool(flag) would turn "no" into True and None into False unseen.
@@ -271,26 +288,23 @@ def _assert_same_outcomes(lps):
     assert not mismatched, f"differs from the Fraction tableau at {mismatched[:10]}"
 
 
+def _random_lps() -> list:
+    rng = random.Random(7)
+    return [random_lp(rng, 6, 6) for _ in range(500)]
+
+
 def _corpus_lps(pairs: int) -> list:
     """Every LP the order, belief and value calls solve on the first corpus pairs.
 
-    The belief check reads the order's blocks and solves nothing of its own,
-    so its place in the loop asks the hull programs of
+    A block that ``size_interval`` finishes from its remembered phase one
+    counts as the block under the column's objective, as ``spy_on_solves``
+    records it.  The belief check reads the order's blocks and solves
+    nothing of its own, so its place in the loop asks the hull programs of
     ``reference_beliefs.check_weighted_beliefs`` instead: ``hull-check``,
     ``counterexample`` and ``eta`` still solve programs of that shape.
     """
-    captured = []
-    real = numerics.solve
-
-    def spy(lp):
-        captured.append(lp)
-        return real(lp)
-
     with pytest.MonkeyPatch.context() as patch:
-        for info in pkgutil.iter_modules(expord.__path__):
-            module = importlib.import_module(f"expord.{info.name}")
-            if getattr(module, "solve", None) is real:
-                patch.setattr(module, "solve", spy)
+        captured = spy_on_solves(patch)
         for pi, prior, pi_prime in corpus_pairs(20250814, pairs):
             weighted = expord.check_weighted(pi, pi_prime)
             expord.check_blackwell(pi, pi_prime)
@@ -308,8 +322,7 @@ class TestAgainstFractionTableau:
     """``solve`` must return exactly what the Fraction-tableau simplex returns."""
 
     def test_random_programs(self):
-        rng = random.Random(7)
-        lps = [random_lp(rng, 6, 6) for _ in range(500)]
+        lps = _random_lps()
         assert {solve(lp).status for lp in lps} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
         _assert_same_outcomes(lps)
 
@@ -348,6 +361,47 @@ class TestAgainstFractionTableau:
         assert out == reference_solve(lp)
         assert out.status == OPTIMAL
         assert out.x == (0, 0, 3) and out.objective == F(-3, 2)
+
+
+class TestPhaseTwoFromOneStart:
+    """Finishing one phase-one start gives the cold solve of the program so priced."""
+
+    def _finish_every_way(self, lps):
+        rng = random.Random(25)
+        finished = 0
+        for lp in lps:
+            n = lp.n_variables
+            objectives = [lp.objective] + [
+                tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(2)
+            ]
+            start = numerics._phase_one(lp)
+            if not isinstance(start, numerics.LpOutcome):
+                tableau = start.tableau
+                before = ([list(row) for row in tableau.rows], tableau.at[:], tableau.basis[:], tableau.d)
+            for objective in objectives:
+                for sense in ("min", "max"):
+                    cold = solve(dataclasses.replace(lp, objective=objective, sense=sense))
+                    if isinstance(start, numerics.LpOutcome):
+                        # Phase one reads only the rows: one refutation for every objective.
+                        assert cold.status == INFEASIBLE and start == cold
+                        continue
+                    warm = numerics._phase_two(start, objective, sense)
+                    again = numerics._phase_two(start, objective, sense)
+                    assert warm == cold and warm.dual == cold.dual
+                    assert again == warm and again.dual == warm.dual
+                    finished += 1
+            if not isinstance(start, numerics.LpOutcome):
+                after = ([list(row) for row in tableau.rows], tableau.at, tableau.basis, tableau.d)
+                assert after == before
+        return finished
+
+    def test_random_programs(self):
+        assert self._finish_every_way(_random_lps()) > 1000
+
+    def test_corpus_programs(self):
+        lps = _corpus_lps(60)
+        assert len(lps) > 400
+        assert self._finish_every_way(lps) > 2000
 
 
 # ------------------------------------------- the integer checks vs Fraction checks

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,7 @@ from expord.generators import (
 )
 import reference_order
 from reference_simplex import reference_solve
+from spies import spy_on_solves
 
 F = Fraction
 
@@ -454,6 +456,18 @@ class TestConditionalAgainstTheRatioScan:
 
 
 class TestVerifyCertificate:
+    @pytest.mark.parametrize("listed", [
+        lambda psi: [list(row) for row in psi],
+        list,
+        lambda psi: tuple(list(row) for row in psi),
+    ], ids=["lists", "list of rows", "list rows"])
+    def test_list_psi_refused(self, listed):
+        # A frozen certificate with a list in it could not be hashed.
+        cert = check_weighted(binary_symmetric("4/5"), three_signal_family("9/10"))
+        hash(cert)
+        with pytest.raises(InvalidInput, match="tuple of tuples"):
+            GarblingCertificate(pi=cert.pi, pi_prime=cert.pi_prime, psi=listed(cert.psi))
+
     def test_perturbed_kernel_fails(self):
         cert = check_weighted(binary_symmetric("4/5"), three_signal_family("9/10"))
         psi = [list(row) for row in cert.psi]
@@ -783,27 +797,68 @@ class TestNoCoupledSolveForTheOrder:
     """The uncapped decision and the beta_max maximizations solve blocks only."""
 
     def test_solve_spy(self, monkeypatch):
-        seen = []
-        real_solve = order_module.solve
-
-        def spy(lp):
-            seen.append((len(lp.rows), lp.sense))
-            return real_solve(lp)
-
-        monkeypatch.setattr(order_module, "solve", spy)
+        seen = spy_on_solves(monkeypatch)
         maximized = 0
         for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
             seen.clear()
             found = check_weighted(pi, pi_prime)
-            assert seen and all(rows <= pi.n_states for rows, _sense in seen)
+            assert seen and all(len(lp.rows) <= pi.n_states for lp in seen)
             if found is None:
                 continue
             seen.clear()
             size_interval(pi, pi_prime)
-            maxima = [rows for rows, sense in seen if sense == "max"]
+            maxima = [len(lp.rows) for lp in seen if lp.sense == "max"]
             assert all(rows <= pi.n_states for rows in maxima)
             maximized += len(maxima)
         assert maximized > 100
+
+
+class TestSizeIntervalFinishesTheRememberedBlocks:
+    """After the blocks are decided, size_interval runs phase two only, once per block and column."""
+
+    def test_no_phase_one_on_a_remembered_block(self, monkeypatch):
+        started, finished = [], []
+        real_one, real_two = order_module._phase_one, order_module._phase_two
+
+        def phase_one(lp):
+            started.append(lp)
+            return real_one(lp)
+
+        def phase_two(start, objective, sense):
+            finished.append((start.lp.rows, objective, sense))
+            return real_two(start, objective, sense)
+
+        monkeypatch.setattr(order_module, "_phase_one", phase_one)
+        monkeypatch.setattr(order_module, "_phase_two", phase_two)
+        pairs = [(pi, pi_prime) for pi, _prior, pi_prime in corpus_pairs(20250814, 100)]
+        # A null signal of pi gets zeros in the blocks, so size_interval starts its block.
+        pairs.append(
+            (validate_experiment([["1/2", "1/2", "0"], ["1/4", "3/4", "0"]]), perfect_experiment(2))
+        )
+        bounded = nulls = 0
+        for pi, pi_prime in pairs:
+            if check_weighted(pi, pi_prime) is None:
+                continue
+            del started[:], finished[:]
+            interval = size_interval(pi, pi_prime)
+            null = [
+                _block(pi, pi_prime, s)
+                for s in range(pi.n_signals)
+                if not any(row[s] for row in pi.matrix)
+            ]
+            if interval.unbounded:
+                assert started == finished == []
+                continue
+            n_sp = pi_prime.n_signals
+            assert started == null
+            assert Counter(finished) == Counter(
+                (_block(pi, pi_prime, s).rows, tuple(F(int(k == j)) for k in range(n_sp)), "max")
+                for j in range(n_sp)
+                for s in range(pi.n_signals)
+            )
+            bounded += 1
+            nulls += len(null)
+        assert bounded > 30 and nulls > 0
 
 
 # ------------------------------------------------ the memo of the last pair asked
@@ -861,14 +916,7 @@ class TestLastPairMemo:
         assert 100 < ordered < 500
 
     def test_each_block_and_the_min_size_program_solve_once(self, monkeypatch):
-        seen = []
-        real_solve = order_module.solve
-
-        def spy(lp):
-            seen.append(lp)
-            return real_solve(lp)
-
-        monkeypatch.setattr(order_module, "solve", spy)
+        seen = spy_on_solves(monkeypatch)
         ordered = 0
         for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
             seen.clear()

@@ -2,7 +2,6 @@
 
 import hashlib
 import importlib
-import pkgutil
 import random
 from fractions import Fraction
 
@@ -32,10 +31,8 @@ from expord import (
     value_null,
     verify_bound,
 )
-import expord
 from expord import documents as docs
 import expord.order as order_module
-from expord import numerics
 from expord.numerics import farkas_verifies
 from expord.generators import (
     binary_symmetric,
@@ -53,6 +50,7 @@ from reference_value import (
     reference_value,
     reference_verify_bound,
 )
+from spies import spy_on_solves
 
 F = Fraction
 
@@ -245,17 +243,7 @@ class TestFalsifyBound:
     def test_one_capped_solve_in_the_order_and_none_outside(self, monkeypatch):
         # The falsifier asks the program check_weighted(max_size=beta) states,
         # on the undiluted pair, and nothing at all once the blocks refute.
-        captured = []
-        real = numerics.solve
-
-        def spy(lp):
-            captured.append(lp)
-            return real(lp)
-
-        for info in pkgutil.iter_modules(expord.__path__):
-            module = importlib.import_module(f"expord.{info.name}")
-            if getattr(module, "solve", None) is real:
-                monkeypatch.setattr(module, "solve", spy)
+        captured = spy_on_solves(monkeypatch)
         seen = set()
         for pi, _prior, pi_prime in corpus_pairs(20250814, 40):
             ordered = check_weighted(pi, pi_prime) is not None
