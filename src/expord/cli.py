@@ -36,7 +36,7 @@ from .dynamics import (
     merging_horizon,
     stopping_value,
 )
-from .experiments import Prior, dilute, regularize
+from .experiments import Prior, dilute, regularize, unit_weight
 from .numerics import (
     INFEASIBLE,
     OPTIMAL,
@@ -335,10 +335,17 @@ def _selftest_orders(seed: int, count: int) -> tuple[bool, str]:
         atoms = posteriors(pi, mu0).atoms
         if (lp_cert is None) == all(hull_membership(a.belief, hull) is not None for a in atoms):
             return False, "LP and posterior-geometry paths disagree"
-        blackwell = check_blackwell(pi, pi_prime)
-        sizing = min_size(pi, pi_prime)
-        if (blackwell is not None) != (sizing is not None and sizing[0] == 1):
+        # check_blackwell reads min_size; the = 1 linked program decides apart from it.
+        unit = to_conditional(pi_prime, unit_weight(pi_prime))
+        try:
+            from_conditional(unit, pi)
+        except OrderError:
+            linked = False
+        else:
+            linked = True
+        if (check_blackwell(pi, pi_prime) is not None) != linked:
             return False, "Blackwell check disagrees with min_size"
+        sizing = min_size(pi, pi_prime)
         if lp_cert is None:
             problem = falsify_bound(pi, pi_prime, rng.choice([1, 2]))
             if problem is None:

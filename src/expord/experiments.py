@@ -129,6 +129,11 @@ class Experiment:
     matrix: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.states, tuple) and isinstance(self.signals, tuple)):
+            raise InvalidInput("state and signal labels must be tuples")
+        matrix = self.matrix
+        if not (isinstance(matrix, tuple) and all(isinstance(row, tuple) for row in matrix)):
+            raise InvalidInput("the matrix must be a tuple of tuples")
         _check_labels(self.states, "state")
         _check_labels(self.signals, "signal")
         if len(self.matrix) != len(self.states):
@@ -427,6 +432,11 @@ class DecisionProblem:
     payoff_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.actions, tuple):
+            raise InvalidInput(f"action labels must be a tuple, got {self.actions!r}")
+        payoffs = self.payoffs
+        if not (isinstance(payoffs, tuple) and all(isinstance(row, tuple) for row in payoffs)):
+            raise InvalidInput("the payoff table must be a tuple of tuples")
         _check_labels(self.actions, "action")
         n_states = len(self.prior.weights)
         _check_table(self.payoffs, len(self.actions), n_states, "payoff table")

@@ -14,11 +14,16 @@ and sign flags, never the objective, so a caller that asks several
 objectives over the same rows runs it once (``_phase_one``) and finishes
 each objective from the feasible tableau it leaves (``_phase_two``, which
 works on a copy); each outcome is the one :func:`solve` gives for that
-objective.  Outcomes carry machine-checkable evidence: an optimal point
-and its dual, a Farkas certificate of infeasibility, or an unbounded
-ray.  Two exact checks over one integer form of the program, a primal one
-and a dual one, verify every outcome before it is returned, which keeps
-every caller honest; a failed check raises :class:`InternalError` and
+objective.  A caller that already knows a feasible basis passes its
+structural columns to ``_phase_one`` as a crash start: one pivot per column
+and no Bland search, and if the basic point they give is not feasible,
+phase one runs cold as if no columns were given.  Phase two then finds an
+optimum of the same value, but possibly another optimal vertex and dual
+than a cold start finds.  Outcomes carry machine-checkable evidence: an
+optimal point and its dual, a Farkas certificate of infeasibility, or an
+unbounded ray.  Two exact checks over one integer form of the program, a
+primal one and a dual one, verify every outcome before it is returned,
+which keeps every caller honest; a failed check raises :class:`InternalError` and
 survives ``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
@@ -448,11 +453,45 @@ def _multipliers(
     ])
 
 
-def _phase_one(lp: LinearProgram) -> LpOutcome | _Feasible:
+def _crashed(
+    tableau: _Tableau, crash: Sequence[tuple[int, int | None]], artificial: frozenset[int]
+) -> bool:
+    """Pivot each ``(column, row)`` of ``crash`` in; True if that ends phase one.
+
+    A row of None is the first row whose basic column is artificial and
+    whose entry in the column is nonzero.  The point is phase one's optimum
+    when every basic value is nonnegative and every basic artificial is zero.
+    """
+    for col, row in crash:
+        if row is None:
+            row = next(
+                (i for i, (basic, entries) in enumerate(zip(tableau.basis, tableau.rows))
+                 if basic in artificial and entries[col]),
+                None,
+            )
+        if row is None or not tableau.rows[row][col]:
+            return False
+        tableau.pivot(row, col)
+    # Every denominator is positive, so a value's sign is its numerator's.
+    return all(
+        row[-1] == 0 if basic in artificial else row[-1] >= 0
+        for basic, row in zip(tableau.basis, tableau.rows)
+    )
+
+
+def _phase_one(
+    lp: LinearProgram, crash: Sequence[tuple[int, int | None]] = ()
+) -> LpOutcome | _Feasible:
     """Phase one of :func:`solve`: the checked Farkas outcome, or a feasible start.
 
     It reads the rows and sign flags of ``lp`` and never its objective or
     sense, so one start serves every objective over the same rows.
+
+    ``crash`` lists structural columns to pivot into the initial basis, one
+    pivot each and no Bland search, with the row each enters (see
+    :func:`_crashed`).  If the basic point they give is feasible with every
+    basic artificial at zero, phase one is over and only the drive-out runs;
+    otherwise the start is exactly the one ``_phase_one(lp)`` returns.
     """
     n = lp.n_variables
 
@@ -507,9 +546,13 @@ def _phase_one(lp: LinearProgram) -> LpOutcome | _Feasible:
     if m > 0:
         phase_one = [0] * (n_struct + n_slack) + [1] * n_art
         tableau.set_cost(phase_one)
-        status, _ = tableau.minimize(banned=frozenset())
-        if status != OPTIMAL:
-            raise InternalError("phase one, bounded below by zero, came back unbounded")
+        if crash:
+            if not _crashed(tableau, crash, artificial_cols):
+                return _phase_one(lp)
+        else:
+            status, _ = tableau.minimize(banned=frozenset())
+            if status != OPTIMAL:
+                raise InternalError("phase one, bounded below by zero, came back unbounded")
         # Basic values are nonnegative, so the artificial mass is positive
         # exactly when one of them is nonzero, whatever the row scales.
         if any(tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols):

@@ -13,9 +13,11 @@ of P, over psi(s, .): is P's posterior at s in the hull of P''s posteriors?
 Every decision solves the blocks first, in signal order, and the first
 infeasible one refutes it.  Otherwise the block points certify the order,
 and the linked program, built in one place, adds column rows: a fixed weight
-sets the column sums equal to gamma (plain Blackwell garbling at gamma = 1,
-the recovery from a conditional experiment at gamma = kappa / alpha), a size
-cap bounds them, and the minimal size minimizes a common bound on them.  The
+sets the column sums equal to gamma (the recovery from a conditional
+experiment at gamma = kappa / alpha), a size cap bounds them, and the minimal
+size minimizes a common bound on them.  The minimal-size program starts from
+the blocks' bases, crashed in with no Bland phase one.  Blackwell garbling is
+the case where the minimal size is 1, so it reads the minimal witness.  The
 largest size maximizes each column sum block by block.  Every answer carries
 evidence either way: a certificate that verifies by substitution, or the
 verified Farkas multipliers of the reproduction rows.  A certificate that
@@ -341,12 +343,23 @@ def check_weighted(
 def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate | None:
     """Decide whether ``pi`` is a Blackwell garbling of ``pi_prime``.
 
-    The returned certificate has weight one on every signal, so its psi is
-    the channel phi itself and its size is exactly 1.
+    The order is Blackwell exactly when its minimal size is 1, so this reads
+    :func:`min_size` and solves nothing of its own.  At size 1 the weight
+    identity sum_j gamma_j pi_prime(j|t) = 1 holds every column sum of the
+    minimal witness with mass at exactly 1, so adding 1 less each column's
+    sum on signal 0 of ``pi`` pads only the null columns of ``pi_prime``,
+    which reproduce nothing.  The returned certificate, re-verified, has
+    weight one on every signal, so its psi is the channel phi itself and
+    its size is exactly 1.
     """
-    certificate = _decide(pi, pi_prime, ((), EQ, (Fraction(1),) * pi_prime.n_signals))
-    if not isinstance(certificate, GarblingCertificate):
+    found = _min_size(pi, pi_prime)
+    if found is None or found[0].objective != 1:
         return None
+    witness = found[1]
+    x = [v for row in witness.psi for v in row]
+    for j, column_sum in enumerate(witness.gamma):
+        x[j] += 1 - column_sum
+    certificate = _certify(pi, pi_prime, x)
     if certificate.beta != 1:
         raise InternalError("Blackwell certificate has size other than 1")
     return certificate
@@ -358,9 +371,10 @@ def min_size(
     """Smallest certificate size over all weighted-garbling certificates.
 
     Minimizes an auxiliary bound t over psi >= 0 subject to the
-    reproduction rows and column sums <= t.  Returns the exact minimum and
-    a witness attaining it, or None when no certificate exists.  The
-    minimum equals 1 exactly when the pair is Blackwell ordered.
+    reproduction rows and column sums <= t, from the basis of the pair's
+    block points.  Returns the exact minimum and a witness attaining it, or
+    None when no certificate exists.  The minimum equals 1 exactly when the
+    pair is Blackwell ordered, which is how :func:`check_blackwell` decides.
     """
     found = _min_size(pi, pi_prime)
     return None if found is None else (found[0].objective, found[1])
@@ -371,18 +385,39 @@ def _min_size(
 ) -> tuple[LpOutcome, GarblingCertificate] | None:
     """:func:`min_size`'s optimal outcome, dual included, and its witness.
 
+    Phase one starts from the blocks' bases: the block points, with t at
+    the largest column sum g_j and every other column row's slack at
+    t - g_j, are feasible.  So each remembered block start's basic columns
+    are crashed in on the block's rows, and t on the row of the largest
+    column sum; a null signal of ``pi`` keeps zero artificials, which the
+    drive-out removes.  Phase two and its checks run as for a cold solve.
     The outcome is solved once while the pair is the last one asked about;
     every call certifies it afresh.
     """
     global _last
     entry = _entry(pi, pi_prime)
-    if not entry[2][0]:
+    feasible, points = entry[2]
+    if not feasible:
         return None
     outcome = entry[4]
     if outcome is None:
-        objective = [Fraction(0)] * (pi.n_signals * pi_prime.n_signals) + [Fraction(1)]
-        columns = ((Fraction(-1),), LE, (Fraction(0),) * pi_prime.n_signals)
-        outcome = solve(_psi_program(pi, pi_prime, columns, objective))
+        n_s, n_sp = pi.n_signals, pi_prime.n_signals
+        objective = [Fraction(0)] * (n_s * n_sp) + [Fraction(1)]
+        columns = ((Fraction(-1),), LE, (Fraction(0),) * n_sp)
+        program = _psi_program(pi, pi_prime, columns, objective)
+        crash = [
+            (s * n_sp + col, None)
+            for s, start in enumerate(entry[3])
+            if start is not None
+            for col in start.tableau.basis
+        ]
+        sums = [sum(points[j::n_sp]) for j in range(n_sp)]
+        widest = max(range(n_sp), key=sums.__getitem__)
+        crash.append((n_s * n_sp, n_s * pi.n_states + widest))
+        start = _phase_one(program, crash)
+        if isinstance(start, LpOutcome):
+            raise InternalError("min_size program refuted after feasible blocks")
+        outcome = _phase_two(start, program.objective, program.sense)
         if outcome.status != OPTIMAL:
             raise InternalError(f"min_size program expected optimal, got {outcome.status}")
         _last = (*entry[:4], outcome)
@@ -403,7 +438,10 @@ class SizeInterval:
 
     ``dual_min`` is the verified dual of :func:`min_size`'s program, one
     multiplier per row of ``_psi_program``: the reproduction rows
-    signal-major, then one column-sum row per signal of ``pi_prime``.
+    signal-major, then one column-sum row per signal of ``pi_prime``.  It
+    and ``witness_min`` are read at the optimal vertex that phase two
+    reaches from the blocks' bases, which may be another optimal vertex
+    than a cold solve of the same program reaches.
     ``dual_max[j]`` is the dual of the maximization of column ``j``'s sum:
     the block duals, signal-major, verified against the whole program.  The
     largest of those maxima is ``beta_max``; ``dual_max`` is None when it is.
@@ -554,6 +592,9 @@ class ConditionalExperiment:
             raise InvalidInput(f"alpha must be a Fraction, got {self.alpha!r}")
         if not 0 < self.alpha <= 1:
             raise InvalidInput(f"alpha must lie in (0, 1], got {self.alpha}")
+        event = self.event
+        if not (isinstance(event, tuple) and all(isinstance(row, tuple) for row in event)):
+            raise InvalidInput("the event table must be a tuple of tuples")
         _check_table(self.event, base.n_states, base.n_signals, "event table")
         kappa = self.kernel()
         if not all(0 <= k <= 1 for k in kappa):

@@ -12,7 +12,10 @@ the two programs whose duals a ``SizeInterval`` carries.
 ``expord.order`` had before every feasibility question went through one
 decision, ``_decide``: the first solved the Blackwell program a second time
 for its Farkas multipliers, the second checked Blackwell garbling against
-the reweighted base experiment and rescaled the channel by the weight.
+the reweighted base experiment and rescaled the channel by the weight.  It
+decides Blackwell garbling with ``check_blackwell_coupled``, the coupled
+``= 1`` program, since the library's ``check_blackwell`` now reads the
+minimal size.
 ``blackwell_program`` states the Blackwell program independently of
 ``expord.order``, in the row order ``_psi_program`` documents, and
 ``diluted_farkas`` completes a falsifier's payoff table to a Farkas vector
@@ -50,8 +53,7 @@ from expord.numerics import (
     linear_program, solve,
 )
 from expord.order import (
-    GarblingCertificate, OrderError, SizeInterval, VerificationResult, check_blackwell,
-    verify_certificate,
+    GarblingCertificate, OrderError, SizeInterval, VerificationResult, verify_certificate,
 )
 
 
@@ -161,7 +163,7 @@ def from_conditional(conditional, pi):
     kappa = conditional.kernel()
     gamma = tuple(k / conditional.alpha for k in kappa)
     conditioned = apply_weight(gamma, base)
-    channel = check_blackwell(pi, conditioned)
+    channel = check_blackwell_coupled(pi, conditioned)
     if channel is None:
         raise OrderError(
             "the experiment is not a Blackwell garbling of the "

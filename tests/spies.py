@@ -2,8 +2,9 @@
 
 A module gets an outcome from ``numerics.solve``, or in two steps: from
 ``numerics._phase_one``, which returns a refutation itself or a feasible
-start, then from ``numerics._phase_two``, which finishes a start for one
-objective and sense.  The spy records one program per outcome: the program
+start (from a crash basis, when the module passes one), then from
+``numerics._phase_two``, which finishes a start for one objective and
+sense.  The spy records one program per outcome: the program
 solved, the program a refuting phase one read, or the start's program under
 the objective and sense it was finished with.  Calls that ``solve`` makes
 inside ``numerics`` are not recorded twice.
@@ -26,8 +27,8 @@ def spy_on_solves(patch) -> list:
         captured.append(lp)
         return real(lp)
 
-    def phase_one(lp):
-        start = real_one(lp)
+    def phase_one(lp, crash=()):
+        start = real_one(lp, crash)
         if isinstance(start, numerics.LpOutcome):
             captured.append(lp)
         return start

@@ -104,6 +104,54 @@ class TestPrior:
             uniform_prior(count)
 
 
+class TestListFieldsRefused:
+    """A frozen value with a list in it could not be hashed, so each type refuses one."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Experiment(
+                states=("t0", "t1"), signals=("a", "b"), matrix=[[F(1), F(0)], [F(0), F(1)]]
+            ),
+            lambda: Experiment(
+                states=["t0", "t1"], signals=("a", "b"), matrix=[[F(1), F(0)], [F(0), F(1)]]
+            ),
+            lambda: Experiment(
+                states=["t0", "t1"], signals=("a", "b"), matrix=((F(1), F(0)), (F(0), F(1)))
+            ),
+            lambda: Experiment(
+                states=("t0", "t1"), signals=["a", "b"], matrix=((F(1), F(0)), (F(0), F(1)))
+            ),
+            lambda: Experiment(
+                states=("t0", "t1"), signals=("a", "b"), matrix=([F(1), F(0)], [F(0), F(1)])
+            ),
+            lambda: DecisionProblem(
+                actions=("x", "y"), payoffs=[[F(1), F(0)], [F(0), F(1)]], prior=uniform_prior(2)
+            ),
+            lambda: DecisionProblem(
+                actions=["x", "y"], payoffs=((F(1), F(0)), (F(0), F(1))), prior=uniform_prior(2)
+            ),
+            lambda: ConditionalExperiment(
+                base=perfect_experiment(2), event=[[F(1, 2), F(0)], [F(0), F(1, 2)]], alpha=F(1, 2)
+            ),
+        ],
+    )
+    def test_list_fields(self, build):
+        with pytest.raises(InvalidInput, match="tuple"):
+            build()
+
+    def test_tuple_fields_hash(self):
+        hash(Experiment(
+            states=("t0", "t1"), signals=("a", "b"), matrix=((F(1), F(0)), (F(0), F(1)))
+        ))
+        hash(DecisionProblem(
+            actions=("x", "y"), payoffs=((F(1), F(0)), (F(0), F(1))), prior=uniform_prior(2)
+        ))
+        hash(ConditionalExperiment(
+            base=perfect_experiment(2), event=((F(1, 2), F(0)), (F(0), F(1, 2))), alpha=F(1, 2)
+        ))
+
+
 class TestWeights:
     def test_unit_weight_always_valid(self):
         e = binary_symmetric("4/5")

@@ -35,8 +35,10 @@ from expord import (
 )
 import expord
 from expord import numerics
+import expord.order as order_module
 from expord.generators import corpus_pairs, random_lp
 import reference_beliefs
+import reference_order
 import reference_simplex
 from reference_simplex import dual_program, reference_solve
 from spies import spy_on_solves
@@ -302,6 +304,9 @@ def _corpus_lps(pairs: int) -> list:
     nothing of its own, so its place in the loop asks the hull programs of
     ``reference_beliefs.check_weighted_beliefs`` instead: ``hull-check``,
     ``counterexample`` and ``eta`` still solve programs of that shape.
+    ``check_blackwell`` reads ``min_size`` and solves nothing of its own, so
+    an ordered pair also asks ``from_conditional`` at unit weight, which
+    still solves the ``= 1`` linked program.
     """
     with pytest.MonkeyPatch.context() as patch:
         captured = spy_on_solves(patch)
@@ -312,6 +317,11 @@ def _corpus_lps(pairs: int) -> list:
             reference_beliefs.check_weighted_beliefs(pi, pi_prime, prior)
             if weighted is not None:
                 expord.size_interval(pi, pi_prime)
+                unit = expord.to_conditional(pi_prime, expord.unit_weight(pi_prime))
+                try:
+                    expord.from_conditional(unit, pi)
+                except expord.OrderError:
+                    pass
             else:
                 for beta in (1, 2, 4, 8):
                     expord.falsify_bound(pi, pi_prime, beta)
@@ -402,6 +412,141 @@ class TestPhaseTwoFromOneStart:
         lps = _corpus_lps(60)
         assert len(lps) > 400
         assert self._finish_every_way(lps) > 2000
+
+
+class TestCrashStart:
+    """A crash start finishes as the cold solve does, or is the cold start itself."""
+
+    @pytest.fixture(scope="class")
+    def crashed(self):
+        """Each ordered corpus pair's min_size program, with the crash set ``order`` passes."""
+        found = []
+        real = numerics._phase_one
+
+        def phase_one(lp, crash=()):
+            if crash:
+                found.append((lp, tuple(crash)))
+            return real(lp, crash)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(order_module, "_phase_one", phase_one)
+            for pi, _prior, pi_prime in corpus_pairs(20250814, 200):
+                expord.min_size(pi, pi_prime)
+        return found
+
+    @pytest.fixture
+    def phase_ones(self, monkeypatch):
+        """The crash argument of every ``_phase_one`` call, a cold fallback's included."""
+        calls = []
+        real = numerics._phase_one
+
+        def phase_one(lp, crash=()):
+            calls.append(tuple(crash))
+            return real(lp, crash)
+
+        monkeypatch.setattr(numerics, "_phase_one", phase_one)
+        return calls
+
+    @staticmethod
+    def _state(start):
+        if isinstance(start, numerics.LpOutcome):
+            return start
+        tableau = start.tableau
+        return (
+            tableau.rows, tableau.at, tableau.basis, tableau.d, start.col_var,
+            start.flipped, start.init_col, start.artificial, start.scale,
+        )
+
+    def test_min_size_programs_against_the_cold_solve(self, crashed, phase_ones, monkeypatch):
+        searches = []
+        real_minimize = numerics._Tableau.minimize
+
+        def minimize(tableau, banned):
+            searches.append(banned)
+            return real_minimize(tableau, banned)
+
+        monkeypatch.setattr(numerics._Tableau, "minimize", minimize)
+        rng = random.Random(26)
+        unbounded = 0
+        assert len(crashed) > 50
+        for lp, crash in crashed:
+            del phase_ones[:], searches[:]
+            start = numerics._phase_one(lp, crash)
+            # One phase one, with no Bland search: the crashed basis is feasible.
+            assert phase_ones == [crash] and searches == []
+            n = lp.n_variables
+            priced = [lp] + [
+                dataclasses.replace(
+                    lp,
+                    objective=tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)),
+                    sense=sense,
+                )
+                for sense in ("min", "max")
+            ]
+            for program in priced:
+                warm = numerics._phase_two(start, program.objective, program.sense)
+                cold = solve(program)
+                assert warm.status == cold.status and warm.objective == cold.objective
+                assert solution_feasible(program, warm.x)
+                if warm.status == OPTIMAL:
+                    assert numerics.dual_verifies(program, warm.dual, warm.objective)
+                else:
+                    assert warm.status == UNBOUNDED and ray_verifies(program, warm.ray)
+                    unbounded += 1
+        assert unbounded > 0
+
+    def test_an_infeasible_crash_is_the_cold_start(self, crashed, phase_ones):
+        # t entering at another column row leaves a column slack negative
+        # unless that column's sum ties the largest.
+        fell_back = 0
+        for lp, crash in crashed:
+            *columns, (t, widest) = crash
+            for row in [i for i, (coeffs, _relation, _rhs) in enumerate(lp.rows) if coeffs[t]]:
+                del phase_ones[:]
+                start = numerics._phase_one(lp, [*columns, (t, row)])
+                if row == widest or len(phase_ones) == 1:
+                    continue
+                assert phase_ones == [(*columns, (t, row)), ()]
+                assert self._state(start) == self._state(numerics._phase_one(lp))
+                fell_back += 1
+        assert fell_back > 50
+
+    def test_random_crash_sets(self, phase_ones):
+        rng = random.Random(26)
+        fell_back = crashed = 0
+        for lp in _random_lps():
+            n, m = lp.n_variables, len(lp.rows)
+            crash = [
+                (rng.randrange(n), rng.choice([None, rng.randrange(m)]) if m else None)
+                for _ in range(rng.randint(1, 4))
+            ]
+            del phase_ones[:]
+            start = numerics._phase_one(lp, crash)
+            if m == 0 or len(phase_ones) == 2:
+                assert self._state(start) == self._state(numerics._phase_one(lp))
+                fell_back += m > 0
+                continue
+            crashed += 1
+            assert not isinstance(start, numerics.LpOutcome)
+            warm = numerics._phase_two(start, lp.objective, lp.sense)
+            expected = solve(lp)
+            assert warm.status == expected.status and warm.objective == expected.objective
+        assert fell_back > 100 and crashed > 10
+
+    def test_an_infeasible_program_returns_the_cold_refutation(self):
+        refuted = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 100):
+            lowest, _ = reference_order.size_interval_programs(pi, pi_prime, 0)
+            cold = numerics._phase_one(lowest)
+            if not isinstance(cold, numerics.LpOutcome):
+                continue
+            n_sp = pi_prime.n_signals
+            crash = [(j, None) for j in range(n_sp)]
+            crash.append((lowest.n_variables - 1, len(lowest.rows) - n_sp))
+            start = numerics._phase_one(lowest, crash)
+            assert start.status == INFEASIBLE and start == cold
+            refuted += 1
+        assert refuted > 10
 
 
 # ------------------------------------------- the integer checks vs Fraction checks

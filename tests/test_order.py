@@ -44,6 +44,7 @@ from expord import (
 )
 import expord.order as order_module
 from expord.order import _block, _decide
+from expord import numerics
 from expord.numerics import EQ, LE, dual_verifies, farkas_verifies
 from expord.generators import (
     binary_symmetric,
@@ -755,7 +756,13 @@ def _interval_fields(interval):
 
 
 class TestRelaxationAgainstCoupledBodies:
-    """Every answer matches the coupled bodies kept in ``reference_order``."""
+    """Every answer matches the coupled bodies kept in ``reference_order``.
+
+    ``min_size`` starts from the blocks' bases, so its optimal vertex may be
+    another than the cold coupled solve's: the minimal witness and its dual
+    are checked against the coupled program at the same value, and the
+    Blackwell certificate, padded from that witness, by its own checks.
+    """
 
     @pytest.mark.parametrize("seed, count", [(20250814, 500), (1, 300), (2, 300)])
     def test_corpus(self, seed, count):
@@ -764,13 +771,12 @@ class TestRelaxationAgainstCoupledBodies:
             found = check_weighted(pi, pi_prime)
             assert _psi(found) == _psi(reference_order.check_weighted(pi, pi_prime))
             interval = size_interval(pi, pi_prime)
-            assert _interval_fields(interval) == _interval_fields(
-                reference_order.size_interval(pi, pi_prime)
-            )
+            expected = reference_order.size_interval(pi, pi_prime)
             sized = min_size(pi, pi_prime)
             conditional = to_conditional(pi_prime, make_weight(pi_prime, [1] * pi_prime.n_signals))
             recovered = _recovery(conditional, pi, from_conditional)
             if found is None:
+                assert interval is None and expected is None
                 assert check_blackwell(pi, pi_prime) is None and sized is None
                 assert check_weighted(pi, pi_prime, 2) is None
                 assert recovered == _recovery(
@@ -779,14 +785,24 @@ class TestRelaxationAgainstCoupledBodies:
                 continue
             ordered += 1
             bounded += interval.beta_max is not None
-            assert _psi(check_blackwell(pi, pi_prime)) == _psi(
-                reference_order.check_blackwell_coupled(pi, pi_prime)
+            assert (
+                interval.beta_min, interval.beta_max, _psi(interval.witness_max), interval.dual_max
+            ) == (
+                expected.beta_min, expected.beta_max, _psi(expected.witness_max), expected.dual_max
             )
+            assert verify_certificate(interval.witness_min)
+            assert interval.witness_min.beta == interval.beta_min
+            lowest, _ = reference_order.size_interval_programs(pi, pi_prime, 0)
+            assert dual_verifies(lowest, interval.dual_min, interval.beta_min)
+            blackwell = check_blackwell(pi, pi_prime)
+            coupled = reference_order.check_blackwell_coupled(pi, pi_prime)
+            assert (blackwell is None) == (coupled is None) == (interval.beta_min > 1)
+            if blackwell is not None:
+                assert verify_certificate(blackwell) and set(blackwell.gamma) == {1}
             assert _psi(check_weighted(pi, pi_prime, 2)) == _psi(
                 reference_order.check_weighted(pi, pi_prime, 2)
             )
-            outcome, witness = reference_order.min_size_outcome(pi, pi_prime)
-            assert sized == (outcome.objective, witness)
+            assert sized == (expected.beta_min, interval.witness_min)
             assert recovered == _recovery(
                 conditional, pi, reference_order.from_conditional_coupled
             )
@@ -820,9 +836,9 @@ class TestSizeIntervalFinishesTheRememberedBlocks:
         started, finished = [], []
         real_one, real_two = order_module._phase_one, order_module._phase_two
 
-        def phase_one(lp):
+        def phase_one(lp, crash=()):
             started.append(lp)
-            return real_one(lp)
+            return real_one(lp, crash)
 
         def phase_two(start, objective, sense):
             finished.append((start.lp.rows, objective, sense))
@@ -839,6 +855,8 @@ class TestSizeIntervalFinishesTheRememberedBlocks:
         for pi, pi_prime in pairs:
             if check_weighted(pi, pi_prime) is None:
                 continue
+            # The minimal size is remembered apart from the blocks; only the maxima are watched.
+            min_size(pi, pi_prime)
             del started[:], finished[:]
             interval = size_interval(pi, pi_prime)
             null = [
@@ -859,6 +877,73 @@ class TestSizeIntervalFinishesTheRememberedBlocks:
             bounded += 1
             nulls += len(null)
         assert bounded > 30 and nulls > 0
+
+
+class TestOneLinkedProgramPerPair:
+    """A fresh pair's Blackwell, min_size and size_interval questions crash-start one program."""
+
+    def test_no_bland_phase_one_beyond_the_blocks(self, monkeypatch):
+        calls, searches = [], []
+        real_one, real_minimize = numerics._phase_one, numerics._Tableau.minimize
+
+        def phase_one(lp, crash=()):
+            call = [lp, tuple(crash), len(searches)]
+            calls.append(call)
+            start = real_one(lp, crash)
+            call[2] = len(searches) - call[2]
+            return start
+
+        def minimize(tableau, banned):
+            searches.append(banned)
+            return real_minimize(tableau, banned)
+
+        def solve(lp):
+            raise AssertionError("a linked program was solved cold")
+
+        for module in (numerics, order_module):
+            monkeypatch.setattr(module, "_phase_one", phase_one)
+            monkeypatch.setattr(module, "solve", solve)
+        monkeypatch.setattr(numerics._Tableau, "minimize", minimize)
+        pairs = [(pi, pi_prime) for pi, _prior, pi_prime in corpus_pairs(20250814, 100)]
+        pairs.append(
+            (validate_experiment([["1/2", "1/2", "0"], ["1/4", "3/4", "0"]]), perfect_experiment(2))
+        )
+        ordered = 0
+        for pi, pi_prime in pairs:
+            del calls[:]
+            blackwell = check_blackwell(pi, pi_prime)
+            min_size(pi, pi_prime)
+            interval = size_interval(pi, pi_prime)
+            blocks = [_block(pi, pi_prime, s).rows for s in range(pi.n_signals)]
+            cold = [call for call in calls if not call[1]]
+            assert all(lp.rows in blocks for lp, _crash, _searches in cold)
+            if interval is None:
+                assert blackwell is None and len(calls) == len(cold)
+                continue
+            ordered += 1
+            # One crash start, the min_size program's, with no Bland search.
+            [(program, crash, searched)] = [call for call in calls if call[1]]
+            assert program.n_variables == pi.n_signals * pi_prime.n_signals + 1
+            assert searched == 0 and len(calls) == len(cold) + 1
+        assert ordered > 30
+
+
+class TestBlackwellFromTheMinimalSize:
+    def test_null_signal_column_is_padded_to_one(self):
+        pi = binary_symmetric("3/5")
+        pi_prime = validate_experiment([["4/5", "1/5", "0"], ["1/5", "4/5", "0"]])
+        size, witness = min_size(pi, pi_prime)
+        assert size == 1 and witness.gamma[:2] == (1, 1) and witness.gamma[2] < 1
+        certificate = check_blackwell(pi, pi_prime)
+        assert verify_certificate(certificate)
+        assert certificate.gamma == (1, 1, 1) and certificate.beta == 1
+        assert certificate.psi[0][2] == witness.psi[0][2] + 1 - witness.gamma[2]
+        assert certificate.psi[1:] == witness.psi[1:]
+        assert certificate.psi[0][:2] == witness.psi[0][:2]
+
+    def test_no_certificate_above_size_one(self):
+        pi, pi_prime = binary_symmetric("4/5"), three_signal_family("9/10")
+        assert min_size(pi, pi_prime)[0] > 1 and check_blackwell(pi, pi_prime) is None
 
 
 # ------------------------------------------------ the memo of the last pair asked
