@@ -14,17 +14,21 @@ and sign flags, never the objective, so a caller that asks several
 objectives over the same rows runs it once (``_phase_one``) and finishes
 each objective from the feasible tableau it leaves (``_phase_two``, which
 works on a copy); each outcome is the one :func:`solve` gives for that
-objective.  A caller that already knows a feasible basis passes its
-structural columns to ``_phase_one`` as a crash start: one pivot per column
-and no Bland search, and if the basic point they give is not feasible,
-phase one runs cold as if no columns were given.  Phase two then finds an
-optimum of the same value, but possibly another optimal vertex and dual
-than a cold start finds.  Outcomes carry machine-checkable evidence: an
-optimal point and its dual, a Farkas certificate of infeasibility, or an
-unbounded ray.  Two exact checks over one integer form of the program, a
-primal one and a dual one, verify every outcome before it is returned,
-which keeps every caller honest; a failed check raises :class:`InternalError` and
-survives ``python -O``.
+objective; a caller that needs only a start's own point reads it off the
+start (``_basic_point``), checked, with no phase two.  A caller that
+already knows a feasible basis passes its structural columns to
+``_phase_one`` as a crash start: one pivot per column and no Bland search,
+and if the basic point they give is not feasible, phase one runs cold as if
+no columns were given.  Phase two then finds an optimum of the same value,
+but possibly another optimal vertex and dual than a cold start finds.
+Outcomes carry machine-checkable evidence: an optimal point and its dual, a
+Farkas certificate of infeasibility, or an unbounded ray.  Every outcome is
+verified before it is returned by one integer body per kind of check, a
+primal one and a dual one, over one integer form of the program's rows.
+Phase two runs them on the tableau's own integers, with the objective as an
+argument, and builds the Fractions it returns from the integers it checked;
+the public checks run the same bodies on Fractions.  A failed check raises
+:class:`InternalError` and survives ``python -O``.
 
 The solver is meant for the small dense programs that arise when comparing
 finite statistical experiments (tens of variables, tens of rows).  It makes
@@ -210,37 +214,31 @@ def evaluate_row(coeffs: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
     return sum((c * v for c, v in zip(coeffs, x)), Fraction(0))
 
 
-def _primal_holds(lp: LinearProgram, v: Sequence[Fraction], homogeneous: bool) -> bool:
-    """``v`` keeps every sign flag and every row of ``lp``, against 0 if ``homogeneous``."""
-    if len(v) != lp.n_variables:
-        return False
-    values, scale = _clear_denominators(v)
+def _primal_holds(lp: LinearProgram, values: Sequence[int], scale: int) -> bool:
+    """The ints ``values / scale`` keep every sign flag and row of ``lp``; scale 0 checks a ray."""
     if any(flag and value < 0 for flag, value in zip(lp.nonneg, values)):
         return False
     rows, _ = lp._integer_rows
     for coeffs, relation, rhs in rows:
         lhs = sum(map(mul, coeffs, values))
-        bound = 0 if homogeneous else rhs * scale
+        bound = rhs * scale
         if lhs > bound if relation == LE else lhs < bound if relation == GE else lhs != bound:
             return False
     return True
 
 
-def _dual_value(
-    lp: LinearProgram, y: Sequence[Fraction], cost: Sequence[Fraction], sign: int = 1
-) -> Fraction | None:
-    """``y . b`` if ``y`` is feasible for the dual of min ``cost . x`` over ``lp``, else None.
+def _dual_holds(
+    lp: LinearProgram, multipliers: Sequence[int], scale: int, costs: Sequence[int], cost_scale: int
+) -> int | None:
+    """``y . b`` over ``scale * D`` if ``y`` is feasible for the dual of min ``c . x``, else None.
 
-    That is y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows, and (y^T A)_j <=
-    cost_j on sign-constrained columns, == on free ones; then every
-    feasible x has cost . x >= (y^T A) x >= y . b.  With ``sign = -1`` the
-    check runs on ``-y`` and ``-cost`` over integers.
+    ``y = multipliers / scale`` and ``c = costs / cost_scale`` come in ints,
+    ``D`` is the scale of ``lp._integer_rows``, and ``lp.objective`` is unread.
+    Feasible means y_i <= 0 on "<=" rows, y_i >= 0 on ">=" rows, and
+    (y^T A)_j <= c_j on sign-constrained columns, == on free ones; then
+    every feasible x has c . x >= (y^T A) x >= y . b.
     """
     rows, row_scale = lp._integer_rows
-    if len(y) != len(rows):
-        return None
-    multipliers, scale = _clear_denominators(y)
-    multipliers = [sign * m for m in multipliers]
     aggregate = [0] * lp.n_variables
     for multiplier, (coeffs, relation, _rhs) in zip(multipliers, rows):
         if relation == LE and multiplier > 0 or relation == GE and multiplier < 0:
@@ -248,19 +246,31 @@ def _dual_value(
         if multiplier:
             aggregate = [a + multiplier * c for a, c in zip(aggregate, coeffs)]
     # aggregate is (y^T A) * scale * row_scale; compare it over one denominator.
-    costs, cost_scale = _clear_denominators(cost)
-    costs = [sign * c for c in costs]
     factor = scale * row_scale
     for flag, a, c in zip(lp.nonneg, aggregate, costs):
         lhs, rhs = a * cost_scale, c * factor
         if lhs > rhs if flag else lhs != rhs:
             return None
-    return Fraction(sum(map(mul, multipliers, [rhs for _c, _r, rhs in rows])), factor)
+    return sum(map(mul, multipliers, [rhs for _c, _r, rhs in rows]))
+
+
+def _dual_value(
+    lp: LinearProgram, y: Sequence[Fraction], cost: Sequence[Fraction], sign: int = 1
+) -> Fraction | None:
+    """``y . b`` if ``y`` is feasible for the dual of min ``cost . x`` over ``lp``, else None.
+
+    :func:`_dual_holds` on Fractions; with ``sign = -1`` it checks ``-y`` and ``-cost``.
+    """
+    if len(y) != len(lp.rows):
+        return None
+    multipliers, scale = _clear_denominators([sign * v for v in y])
+    found = _dual_holds(lp, multipliers, scale, *_clear_denominators([sign * c for c in cost]))
+    return None if found is None else Fraction(found, scale * lp._integer_rows[1])
 
 
 def solution_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     """Exact feasibility check of a candidate point."""
-    return _primal_holds(lp, x, homogeneous=False)
+    return len(x) == lp.n_variables and _primal_holds(lp, *_clear_denominators(x))
 
 
 def farkas_verifies(lp: LinearProgram, y: Sequence[Fraction]) -> bool:
@@ -287,10 +297,11 @@ def dual_verifies(lp: LinearProgram, y: Sequence[Fraction], value: Fraction) -> 
 
 def ray_verifies(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
     """Check an unbounded ray: feasible direction with improving objective."""
-    if not _primal_holds(lp, ray, homogeneous=True) or not any(ray):
+    if len(ray) != lp.n_variables or not any(ray):
         return False
     gain = evaluate_row(lp.objective, ray)
-    return gain < 0 if lp.sense == "min" else gain > 0
+    improves = gain < 0 if lp.sense == "min" else gain > 0
+    return improves and _primal_holds(lp, _clear_denominators(ray)[0], 0)
 
 
 class _Tableau:
@@ -438,19 +449,17 @@ class _Feasible:
     scale: int
 
 
-def _multipliers(
-    start: _Feasible, tableau: _Tableau, costs: list[int], num: int, den: int, negate: bool
-) -> tuple[Fraction, ...]:
-    """One multiplier per row of ``start.lp``, read off ``tableau``'s cost row.
+def _multipliers(start: _Feasible, tableau: _Tableau, costs: list[int]) -> list[int]:
+    """One multiplier per row of ``start.lp``, over ``tableau.d``, read off its cost row.
 
     Row i's multiplier is the phase cost less the reduced cost at its
-    identity column, times num / den; it changes sign if flip != negate.
+    identity column, negated on a row that phase one flipped.
     """
     d, reduced = tableau.d, tableau.cost
-    return tuple([
-        Fraction((costs[col] * d - reduced[col]) * (num if flip == negate else -num), d * den)
+    return [
+        reduced[col] - costs[col] * d if flip else costs[col] * d - reduced[col]
         for col, flip in zip(start.init_col, start.flipped)
-    ])
+    ]
 
 
 def _crashed(
@@ -556,7 +565,7 @@ def _phase_one(
         # Basic values are nonnegative, so the artificial mass is positive
         # exactly when one of them is nonzero, whatever the row scales.
         if any(tableau.rows[i][-1] for i in range(m) if tableau.basis[i] in artificial_cols):
-            y = _multipliers(start, tableau, phase_one, 1, 1, False)
+            y = tuple([Fraction(v, tableau.d) for v in _multipliers(start, tableau, phase_one)])
             if not farkas_verifies(lp, y):
                 raise InternalError("simplex produced a bad Farkas certificate")
             return LpOutcome(status=INFEASIBLE, farkas=y)
@@ -579,63 +588,70 @@ def _phase_one(
     return start
 
 
+def _basic_point(start: _Feasible, tableau: _Tableau) -> tuple[list[int], tuple[Fraction, ...]]:
+    """The basic point of ``tableau``, a tableau of ``start``, checked against ``start.lp``.
+
+    Returns the point's numerators over ``tableau.d`` and the point itself.
+    """
+    tableau.bring_all_up()
+    numerators = [0] * start.lp.n_variables
+    for col, row in zip(tableau.basis, tableau.rows):
+        if col < len(start.col_var):
+            var, sign = start.col_var[col]
+            numerators[var] += sign * row[-1]
+    if not _primal_holds(start.lp, numerators, tableau.d):
+        raise InternalError("simplex produced an infeasible basic point")
+    return numerators, tuple([Fraction(v, tableau.d) for v in numerators])
+
+
 def _phase_two(start: _Feasible, objective: tuple[Fraction, ...], sense: str) -> LpOutcome:
     """Phase two of :func:`solve` from ``start``, for ``objective`` and ``sense``.
 
     Returns what :func:`solve` returns for ``start.lp`` with that objective
-    and sense, after the same checks, and leaves ``start`` as it was.
+    and sense, and leaves ``start`` as it was.  It builds no priced program:
+    the checks run on the tableau's own integers, the point and a ray over
+    ``d`` and the dual over ``d`` times the objective's scale, against
+    ``objective`` and ``sense``, and the Fractions returned are built from
+    the integers checked.
     """
-    lp = start.lp
-    if objective is not lp.objective or sense != lp.sense:
-        priced = LinearProgram(objective, sense, lp.rows, lp.nonneg)
-        # The same rows have the same integer form, which every check reads.
-        priced.__dict__["_integer_rows"] = lp._integer_rows
-        lp = priced
-    n, col_var, scale = lp.n_variables, start.col_var, start.scale
+    lp, col_var, scale = start.lp, start.col_var, start.scale
     n_struct = len(col_var)
     minimize = sense == "min"
     tableau = start.tableau.copy()
 
-    # Phase two minimizes cost_scale * c, or -cost_scale * c for a max program.
+    # Phase two minimizes costs / cost_scale: the objective, negated for a max program.
     costs, cost_scale = _clear_denominators(objective)
-    phase_two = [sign * costs[var] for var, sign in col_var] + [0] * (tableau.n_cols - n_struct)
     if not minimize:
-        phase_two = [-c for c in phase_two]
+        costs = [-c for c in costs]
+    phase_two = [sign * costs[var] for var, sign in col_var] + [0] * (tableau.n_cols - n_struct)
     tableau.set_cost(phase_two)
     status, entering = tableau.minimize(banned=start.artificial)
-    tableau.bring_all_up()
-
-    # The point's numerators over d; its objective is read off them in ints.
-    numerators = [0] * n
-    for col, row in zip(tableau.basis, tableau.rows):
-        if col < n_struct:
-            var, sign = col_var[col]
-            numerators[var] += sign * row[-1]
-    point = tuple([Fraction(v, tableau.d) for v in numerators])
-    if not solution_feasible(lp, point):
-        raise InternalError("simplex produced an infeasible basic point")
+    numerators, point = _basic_point(start, tableau)
+    d = tableau.d
 
     if status == UNBOUNDED:
-        # A unit step of the rescaled slack D*s is a step of 1/D in s itself.
+        # The ray over d: a unit step of the rescaled slack D*s is 1/D in s.
         per_unit = scale if entering >= n_struct else 1
-        ray = [Fraction(0)] * n
+        ray = [0] * lp.n_variables
         if entering < n_struct:
             var, sign = col_var[entering]
-            ray[var] += sign
+            ray[var] += sign * d
         for col, row in zip(tableau.basis, tableau.rows):
             if col < n_struct and row[entering] != 0:
                 var, sign = col_var[col]
-                ray[var] -= sign * Fraction(row[entering] * per_unit, tableau.d)
-        ray = tuple(ray)
-        if not ray_verifies(lp, ray):
+                ray[var] -= sign * row[entering] * per_unit
+        if not (any(ray) and sum(map(mul, costs, ray)) < 0 and _primal_holds(lp, ray, 0)):
             raise InternalError("simplex produced a bad unbounded ray")
-        return LpOutcome(status=UNBOUNDED, x=point, ray=ray)
+        return LpOutcome(status=UNBOUNDED, x=point, ray=tuple([Fraction(r, d) for r in ray]))
 
-    value = Fraction(sum(map(mul, costs, numerators)), tableau.d * cost_scale)
-    dual = _multipliers(start, tableau, phase_two, scale, cost_scale, not minimize)
-    if not dual_verifies(lp, dual, value):
+    # The min program's dual over d * cost_scale; its value must be the optimum's.
+    total = sum(map(mul, costs, numerators))
+    dual = [m * scale for m in _multipliers(start, tableau, phase_two)]
+    if _dual_holds(lp, dual, d * cost_scale, costs, cost_scale) != scale * total:
         raise InternalError("simplex produced a bad dual certificate")
-    return LpOutcome(status=OPTIMAL, x=point, objective=value, dual=dual)
+    sign, over = (1 if minimize else -1), d * cost_scale
+    dual = tuple([Fraction(sign * m, over) for m in dual])
+    return LpOutcome(status=OPTIMAL, x=point, objective=Fraction(sign * total, over), dual=dual)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:

@@ -24,12 +24,13 @@ verified Farkas multipliers of the reproduction rows.  A certificate that
 fails its own check raises :class:`InternalError`.
 
 The module remembers the last pair it was asked about, by identity: its
-block decision, each feasible block's state after phase one and, once
-asked for, its minimal-size outcome.  Every question about that pair reads
-them instead of solving again, and still builds and verifies its own
-certificate; the largest size finishes the remembered blocks with phase
-two alone, one column objective at a time.  A different pair, even an equal
-one, replaces the entry, and an exception is never remembered.
+block decision, read off each block's state after phase one, those states,
+and once asked for, its minimal-size outcome with the witness certified
+when it was solved.  Every question about that pair reads them instead of
+solving again: the minimal size, Blackwell and the size interval return
+that one witness, and the largest size finishes the remembered blocks with
+phase two alone, one column objective at a time.  A different pair, even
+an equal one, replaces the entry, and an exception is never remembered.
 ``value.falsify_bound`` asks the size cap that ``check_weighted`` asks,
 so outside the order it reads the same blocks.
 """
@@ -54,6 +55,7 @@ from .numerics import (
     LinearProgram,
     LpOutcome,
     RationalLike,
+    _basic_point,
     _clear_denominators,
     _dual_value,
     _phase_one,
@@ -245,10 +247,10 @@ _last: tuple = (None, None, None, None, None)
 def _entry(pi: Experiment, pi_prime: Experiment) -> tuple:
     """The pair's entry in ``_last``, its blocks solved in signal order if it is not there.
 
-    The blocks are solved up to the first infeasible one.  The entry's
-    starts are None past a refutation; otherwise start s is block s after
-    phase one, which :func:`size_interval` finishes for each column, and
-    None at a null signal of ``pi``, whose block gets zeros without a solve.
+    Each block's point is read off its phase-one start, up to the first
+    infeasible block.  The starts are None past a refutation; otherwise
+    start s is block s after phase one, which :func:`size_interval` finishes
+    per column, and None at a null signal of ``pi``, whose block gets zeros.
     """
     global _last
     entry = _last
@@ -261,14 +263,13 @@ def _entry(pi: Experiment, pi_prime: Experiment) -> tuple:
             x += (Fraction(0),) * pi_prime.n_signals
             starts.append(None)
             continue
-        block = _block(pi, pi_prime, s)
-        start = _phase_one(block)
+        start = _phase_one(_block(pi, pi_prime, s))
         if isinstance(start, LpOutcome):
             zeros = (Fraction(0),) * pi.n_states
             found = False, tuple(start.farkas if i == s else zeros for i in range(pi.n_signals))
             starts = None
             break
-        x += _phase_two(start, block.objective, block.sense).x
+        x += _basic_point(start, start.tableau)[1]
         starts.append(start)
     else:
         found = True, tuple(x)
@@ -348,14 +349,17 @@ def check_blackwell(pi: Experiment, pi_prime: Experiment) -> GarblingCertificate
     identity sum_j gamma_j pi_prime(j|t) = 1 holds every column sum of the
     minimal witness with mass at exactly 1, so adding 1 less each column's
     sum on signal 0 of ``pi`` pads only the null columns of ``pi_prime``,
-    which reproduce nothing.  The returned certificate, re-verified, has
-    weight one on every signal, so its psi is the channel phi itself and
-    its size is exactly 1.
+    which reproduce nothing.  With no column to pad it returns the minimal
+    witness itself, as certified when solved, and otherwise it certifies the
+    padded copy.  Either has weight one on every signal, so its psi is the
+    channel phi itself and its size is exactly 1.
     """
     found = _min_size(pi, pi_prime)
     if found is None or found[0].objective != 1:
         return None
     witness = found[1]
+    if all(column_sum == 1 for column_sum in witness.gamma):
+        return witness
     x = [v for row in witness.psi for v in row]
     for j, column_sum in enumerate(witness.gamma):
         x[j] += 1 - column_sum
@@ -391,16 +395,16 @@ def _min_size(
     are crashed in on the block's rows, and t on the row of the largest
     column sum; a null signal of ``pi`` keeps zero artificials, which the
     drive-out removes.  Phase two and its checks run as for a cold solve.
-    The outcome is solved once while the pair is the last one asked about;
-    every call certifies it afresh.
+    The outcome and its witness, certified once when the program is solved,
+    are remembered with the pair, and every call returns those objects.
     """
     global _last
     entry = _entry(pi, pi_prime)
     feasible, points = entry[2]
     if not feasible:
         return None
-    outcome = entry[4]
-    if outcome is None:
+    found = entry[4]
+    if found is None:
         n_s, n_sp = pi.n_signals, pi_prime.n_signals
         objective = [Fraction(0)] * (n_s * n_sp) + [Fraction(1)]
         columns = ((Fraction(-1),), LE, (Fraction(0),) * n_sp)
@@ -420,11 +424,11 @@ def _min_size(
         outcome = _phase_two(start, program.objective, program.sense)
         if outcome.status != OPTIMAL:
             raise InternalError(f"min_size program expected optimal, got {outcome.status}")
-        _last = (*entry[:4], outcome)
-    certificate = _certify(pi, pi_prime, outcome.x)
-    if certificate.beta != outcome.objective:
-        raise InternalError("minimal size differs from the witness's size")
-    return outcome, certificate
+        found = outcome, _certify(pi, pi_prime, outcome.x)
+        if found[1].beta != outcome.objective:
+            raise InternalError("minimal size differs from the witness's size")
+        _last = (*entry[:4], found)
+    return found
 
 
 @dataclass(frozen=True)
@@ -436,12 +440,12 @@ class SizeInterval:
     park arbitrary mass on).  Witnesses attain each finite endpoint, and
     mixing them traces out every intermediate size.
 
-    ``dual_min`` is the verified dual of :func:`min_size`'s program, one
-    multiplier per row of ``_psi_program``: the reproduction rows
-    signal-major, then one column-sum row per signal of ``pi_prime``.  It
-    and ``witness_min`` are read at the optimal vertex that phase two
-    reaches from the blocks' bases, which may be another optimal vertex
-    than a cold solve of the same program reaches.
+    ``witness_min`` is the pair's one minimal-size witness, the object
+    :func:`min_size` returns, and ``dual_min`` the verified dual of its
+    program, one multiplier per row of ``_psi_program``: the reproduction
+    rows signal-major, then one column-sum row per signal of ``pi_prime``.
+    Both are read at the optimal vertex that phase two reaches from the
+    blocks' bases, which may be another than a cold solve reaches.
     ``dual_max[j]`` is the dual of the maximization of column ``j``'s sum:
     the block duals, signal-major, verified against the whole program.  The
     largest of those maxima is ``beta_max``; ``dual_max`` is None when it is.

@@ -608,29 +608,93 @@ class TestCertificateChecks:
         assert optima > 50
 
 
+def _dual_holds_for(lp, multipliers, scale, value):
+    """The integer dual body on ``multipliers / scale`` as an optimum's dual of ``lp`` at ``value``."""
+    sign = 1 if lp.sense == "min" else -1
+    costs, cost_scale = numerics._clear_denominators(lp.objective)
+    found = numerics._dual_holds(
+        lp, [sign * m for m in multipliers], scale, [sign * c for c in costs], cost_scale
+    )
+    return found is not None and F(found, scale * lp._integer_rows[1]) == sign * value
+
+
+def _moves(numerators):
+    """``numerators`` with one entry moved by +1 or -1, every way."""
+    for k in range(len(numerators)):
+        for step in (1, -1):
+            moved = list(numerators)
+            moved[k] += step
+            yield moved
+
+
+class TestIntegerBodiesAgainstFractionChecks:
+    """Phase two checks the integer bodies; they agree with the Fraction checks on every outcome."""
+
+    def _compare(self, lps):
+        checked = 0
+        for lp in lps:
+            out = solve(lp)
+            if out.status == INFEASIBLE:
+                continue
+            nums, den = numerics._clear_denominators(out.x)
+            assert numerics._primal_holds(lp, nums, den)
+            assert reference_simplex.solution_feasible(lp, out.x)
+            verdicts = [
+                (numerics._primal_holds(lp, moved, den),
+                 reference_simplex.solution_feasible(lp, [F(v, den) for v in moved]))
+                for moved in _moves(nums)
+            ]
+            assert all(ours == theirs for ours, theirs in verdicts)
+            assert (False, False) in verdicts
+            checked += 1
+            if out.status != OPTIMAL:
+                continue
+            nums, den = numerics._clear_denominators(out.dual)
+            assert _dual_holds_for(lp, nums, den, out.objective)
+            assert reference_simplex.dual_verifies(lp, out.dual, out.objective)
+            verdicts = [
+                (_dual_holds_for(lp, moved, den, out.objective),
+                 reference_simplex.dual_verifies(lp, [F(v, den) for v in moved], out.objective))
+                for moved in _moves(nums)
+            ]
+            assert all(ours == theirs for ours, theirs in verdicts)
+            assert (False, False) in verdicts
+            checked += 1
+        return checked
+
+    def test_random_programs(self):
+        assert self._compare(_random_lps()) > 300
+
+    def test_corpus_programs(self):
+        assert self._compare(_corpus_lps(60)) > 700
+
+
 _BOUNDED = linear_program(objective=[2, 3], sense="min", rows=[([1, 1], GE, 4), ([1, 2], GE, 6)])
 _UNBOUNDED = linear_program(objective=[1], sense="max", rows=[([1], GE, 0)])
 
 
 class TestEveryOutcomeIsChecked:
+    """Phase two checks each outcome with the integer bodies, which these tests break."""
+
     def test_a_perturbed_dual_is_an_internal_error(self, monkeypatch):
-        real = numerics.dual_verifies
+        # The first multiplier moves by one unit of its scale.
+        real = numerics._dual_holds
         monkeypatch.setattr(
-            numerics, "dual_verifies", lambda lp, y, value: real(lp, (y[0] + 1, *y[1:]), value)
+            numerics, "_dual_holds", lambda lp, y, *rest: real(lp, (y[0] + 1, *y[1:]), *rest)
         )
         with pytest.raises(InternalError, match="bad dual certificate"):
             solve(_BOUNDED)
 
     def test_an_infeasible_ray_origin_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(numerics, "solution_feasible", lambda lp, x: False)
+        monkeypatch.setattr(numerics, "_primal_holds", lambda lp, values, scale: False)
         with pytest.raises(InternalError, match="infeasible basic point"):
             solve(_UNBOUNDED)
 
     def test_the_dual_check_survives_optimize_flag(self):
         script = (
             "import expord.numerics as numerics\n"
-            "real = numerics.dual_verifies\n"
-            "numerics.dual_verifies = lambda lp, y, v: real(lp, (y[0] + 1, *y[1:]), v)\n"
+            "real = numerics._dual_holds\n"
+            "numerics._dual_holds = lambda lp, y, *rest: real(lp, (y[0] + 1, *y[1:]), *rest)\n"
             "lp = numerics.linear_program([2, 3], [([1, 1], '>=', 4), ([1, 2], '>=', 6)])\n"
             "try:\n"
             "    numerics.solve(lp)\n"

@@ -57,7 +57,7 @@ from expord.generators import (
 )
 import reference_order
 from reference_simplex import reference_solve
-from spies import spy_on_solves
+from spies import spy_on_solves, spy_on_work
 
 F = Fraction
 
@@ -928,6 +928,41 @@ class TestOneLinkedProgramPerPair:
         assert ordered > 30
 
 
+class TestWorkPerCorpusPass:
+    """The corpus-order questions over the first 60 acceptance pairs, counted.
+
+    The pass does the same simplex work as before the checks moved onto
+    the tableau's integers, builds no program in phase two, checks each
+    certificate object once, and every certificate it returns was checked.
+    """
+
+    def test_work_and_checks(self, monkeypatch):
+        counts, checked = spy_on_work(monkeypatch)
+        returned = []
+        for pi, prior, pi_prime in corpus_pairs(20250814, 60):
+            weighted = check_weighted(pi, pi_prime)
+            blackwell = check_blackwell(pi, pi_prime)
+            sized = min_size(pi, pi_prime)
+            expord.check_weighted_beliefs(pi, pi_prime, prior)
+            if weighted is None:
+                for beta in (1, 2, 4, 8):
+                    falsify_bound(pi, pi_prime, beta)
+                continue
+            interval = size_interval(pi, pi_prime)
+            # One witness per pair: every question returns the object solved once.
+            assert interval.witness_min is sized[1]
+            assert blackwell is None or blackwell is sized[1] or set(sized[1].gamma) != {1}
+            returned += [weighted, blackwell, sized[1], interval.witness_max]
+        monkeypatch.undo()
+        returned = [certificate for certificate in returned if certificate is not None]
+        assert counts["pivots"] == 623 and counts["phase ones"] == 163
+        assert counts["programs in phase two"] == 0
+        assert len({id(certificate) for certificate in checked}) == len(checked)
+        assert all(any(certificate is seen for seen in checked) for certificate in returned)
+        assert all(verify_certificate(certificate) for certificate in returned)
+        assert len(returned) > 100
+
+
 class TestBlackwellFromTheMinimalSize:
     def test_null_signal_column_is_padded_to_one(self):
         pi = binary_symmetric("3/5")
@@ -935,11 +970,18 @@ class TestBlackwellFromTheMinimalSize:
         size, witness = min_size(pi, pi_prime)
         assert size == 1 and witness.gamma[:2] == (1, 1) and witness.gamma[2] < 1
         certificate = check_blackwell(pi, pi_prime)
-        assert verify_certificate(certificate)
+        assert certificate is not witness and verify_certificate(certificate)
         assert certificate.gamma == (1, 1, 1) and certificate.beta == 1
         assert certificate.psi[0][2] == witness.psi[0][2] + 1 - witness.gamma[2]
         assert certificate.psi[1:] == witness.psi[1:]
         assert certificate.psi[0][:2] == witness.psi[0][:2]
+
+    def test_a_witness_with_unit_column_sums_is_returned_itself(self):
+        pi, pi_prime = binary_symmetric("3/5"), binary_symmetric("4/5")
+        size, witness = min_size(pi, pi_prime)
+        assert size == 1 and witness.gamma == (1, 1)
+        assert check_blackwell(pi, pi_prime) is witness
+        assert size_interval(pi, pi_prime).witness_min is witness
 
     def test_no_certificate_above_size_one(self):
         pi, pi_prime = binary_symmetric("4/5"), three_signal_family("9/10")
