@@ -11,17 +11,16 @@ identity follows by summing the reproduction rows over s, so the reproduction
 rows alone characterize the order.  They split into one block per signal s
 of P, over psi(s, .): is P's posterior at s in the hull of P''s posteriors?
 Every decision solves the blocks first, in signal order, and the first
-infeasible one refutes it.  Otherwise the block points certify the order,
-and the linked program, built in one place, adds column rows: a fixed weight
-sets the column sums equal to gamma (the recovery from a conditional
-experiment at gamma = kappa / alpha), a size cap bounds them, and the minimal
-size minimizes a common bound on them.  The minimal-size program starts from
-the blocks' bases, crashed in with no Bland phase one.  Blackwell garbling is
-the case where the minimal size is 1, so it reads the minimal witness.  The
-largest size maximizes each column sum block by block.  Every answer carries
-evidence either way: a certificate that verifies by substitution, or the
-verified Farkas multipliers of the reproduction rows.  A certificate that
-fails its own check raises :class:`InternalError`.
+infeasible one refutes it.  Otherwise the block points certify the order.
+The one linked program the order solves, the minimal size's, bounds each
+column sum by a t it minimizes, started from the blocks' bases.  Sizes
+form an interval from there up, so a size cap holds exactly when it is at
+least the minimal size, and Blackwell garbling when that is 1.  The largest
+size maximizes each column sum block by block.  Only the recovery from a
+conditional experiment states its own program, column sums kappa / alpha.
+Every answer carries evidence either way: a certificate that verifies by
+substitution, or verified multipliers of the reproduction rows.  A
+certificate that fails its own check raises :class:`InternalError`.
 
 The module remembers the last pair it was asked about, by identity: its
 block decision, read off each block's state after phase one, those states,
@@ -32,7 +31,7 @@ that one witness, and the largest size finishes the remembered blocks with
 phase two alone, one column objective at a time.  A different pair, even
 an equal one, replaces the entry, and an exception is never remembered.
 ``value.falsify_bound`` asks the size cap that ``check_weighted`` asks,
-so outside the order it reads the same blocks.
+so it reads the same blocks and, inside the order, the same minimal size.
 """
 
 from __future__ import annotations
@@ -292,29 +291,28 @@ def _relax(pi: Experiment, pi_prime: Experiment) -> tuple[bool, Sequence]:
 
 
 def _decide(
-    pi: Experiment,
-    pi_prime: Experiment,
-    columns: tuple[tuple[Fraction, ...], str, Sequence[Fraction]] | None,
+    pi: Experiment, pi_prime: Experiment, cap: Fraction | None = None
 ) -> GarblingCertificate | tuple[tuple[Fraction, ...], ...]:
-    """Decide the psi feasibility program under ``columns``, its blocks first.
+    """Decide whether ``pi`` garbles ``pi_prime`` at size at most ``cap``, blocks first.
 
-    Past feasible blocks, ``columns`` adds one solve of the linked program.
-    Returns the verified certificate (the block points if ``columns`` is
-    None) when the program is feasible.  Otherwise entry [s][t] of the
-    returned table is the multiplier y(s, t) of the reproduction row at
-    signal s of ``pi`` and state t, read off the Farkas certificate, of a
-    block or else of the linked program, that :func:`solve` has checked.
+    Returns a verified certificate, the block points unless their size
+    exceeds the cap and then the minimal witness, or else a table whose
+    entry [s][t] multiplies the reproduction row at signal s and state t:
+    the first infeasible block's Farkas row, or below the minimal size the
+    minimal-size dual (y, v), which refutes the cap since y . b = beta_min,
+    v <= 0 and sum -v <= 1 give y . b + cap sum v >= beta_min - cap > 0.
     """
     feasible, found = _relax(pi, pi_prime)
     if not feasible:
         return found
-    if columns is not None:
-        outcome = solve(_psi_program(pi, pi_prime, columns))
-        if outcome.status == INFEASIBLE:
-            n = pi.n_states
-            return tuple(tuple(outcome.farkas[i * n : (i + 1) * n]) for i in range(pi.n_signals))
-        found = outcome.x
-    return _certify(pi, pi_prime, found)
+    certificate = _certify(pi, pi_prime, found)
+    if cap is None or certificate.beta <= cap:
+        return certificate
+    lowest, witness = _min_size(pi, pi_prime)
+    if lowest.objective <= cap:
+        return witness
+    n = pi.n_states
+    return tuple(tuple(lowest.dual[i * n : (i + 1) * n]) for i in range(pi.n_signals))
 
 
 def check_weighted(
@@ -326,14 +324,14 @@ def check_weighted(
 
     Returns a verifying certificate, or None when the relation is
     certifiably absent (the feasibility LP has a Farkas certificate).
-    Passing ``max_size`` restricts the search to certificates of at most
-    that size, so a witness of a requested size can be demanded.
+    Passing ``max_size`` restricts the answer to certificates of at most
+    that size, so a witness of a requested size can be demanded; the
+    block points answer when they meet it, and else :func:`min_size` does.
     """
     cap = None if max_size is None else as_rational(max_size)
     if cap is not None and cap < 1:
         raise InvalidInput("max_size must be at least 1")
-    columns = None if cap is None else ((), LE, (cap,) * pi_prime.n_signals)
-    certificate = _decide(pi, pi_prime, columns)
+    certificate = _decide(pi, pi_prime, cap)
     if not isinstance(certificate, GarblingCertificate):
         return None
     if cap is not None and certificate.beta > cap:
@@ -663,14 +661,15 @@ def from_conditional(
     distribution conditional on the event is the base experiment reweighted
     by it.  ``pi`` is a Blackwell garbling of that distribution exactly when
     the psi program with column sums equal to gamma is feasible, and its
-    solution is a certificate of size max kappa / alpha.  Raises
-    :class:`OrderError` when it is not.
+    solution, solved cold past the blocks, is a certificate of size
+    max kappa / alpha.  Raises :class:`OrderError` when it is not.
     """
     gamma = tuple(k / conditional.alpha for k in conditional.kernel())
-    certificate = _decide(pi, conditional.base, ((), EQ, gamma))
-    if not isinstance(certificate, GarblingCertificate):
-        raise OrderError(
-            "the experiment is not a Blackwell garbling of the "
-            "event-conditional distribution"
-        )
-    return certificate
+    base = conditional.base
+    if _relax(pi, base)[0]:
+        outcome = solve(_psi_program(pi, base, ((), EQ, gamma)))
+        if outcome.status != INFEASIBLE:
+            return _certify(pi, base, outcome.x)
+    raise OrderError(
+        "the experiment is not a Blackwell garbling of the event-conditional distribution"
+    )

@@ -10,8 +10,8 @@ size beta yields the guarantee
 
 for every decision problem, and the guarantee is not merely sound but
 complete: when the order fails at size beta, an explicitly violating
-decision problem can be constructed from the Farkas multipliers of the
-size-beta cap, the program the order module decides.
+decision problem can be constructed from the multipliers that refute the
+size-beta cap: a block's Farkas row, or the minimal-size program's dual.
 
 The value and the bound run on integers.  One scoring kernel forms each
 signal's joint measure in ints, from the prior and the likelihood matrix
@@ -42,7 +42,6 @@ from .experiments import (
     residual_experiment,
 )
 from .numerics import (
-    LE,
     InternalError,
     InvalidInput,
     RationalLike,
@@ -240,24 +239,25 @@ def falsify_bound(
 
     The guarantee holds for every decision problem exactly when ``pi`` is a
     weighted garbling of ``pi_prime`` of size at most beta, so this asks
-    the order that capped question, the program ``check_weighted(pi,
-    pi_prime, beta)`` decides.  When it is infeasible, the multipliers
-    y(s, t) of its reproduction rows price the states: actions a_s with
-    payoffs u(a_s, t) = y(s, t) |states|, and a null action paying zero,
-    under the uniform prior make V(P) / beta exceed V(P'), which the
-    nonpositive multipliers of the column rows bound, a strict violation
-    of the bound.  Outside the order the multipliers are the first
-    infeasible block's, which the order module remembers for the last
-    pair asked about: a bet on a posterior of ``pi`` off the hull of
-    ``pi_prime``'s, so one problem refutes every beta, with V(P') =
-    V(null) = 0 < V(P) / beta.
-    Payoffs are rescaled into [-1, 1] and the violation is re-verified
-    before returning.
+    the order that capped question, as ``check_weighted(pi, pi_prime,
+    beta)`` does.  When the cap fails, the multipliers y(s, t) of the
+    reproduction rows price the states: actions a_s with payoffs
+    u(a_s, t) = y(s, t) |states|, and a null action paying zero, under the
+    uniform prior make V(P) / beta exceed V(P'), a strict violation.
+    Outside the order the multipliers are the first infeasible block's,
+    which the order module remembers for the last pair asked about: a bet
+    on a posterior of ``pi`` off the hull of ``pi_prime``'s, so one problem
+    refutes every beta, with V(P') = V(null) = 0 < V(P) / beta.  Inside
+    the order, below the minimal size, they are the minimal-size dual's,
+    whose column multipliers v give V(P') <= sum -v <= 1 while V(P) >=
+    beta_min: one problem refutes every beta below beta_min, with slack
+    exactly 0 at beta_min.  Payoffs are rescaled into [-1, 1] and the
+    violation is re-verified before returning.
     """
     scale = as_rational(beta)
     if scale < 1:
         raise InvalidInput(f"the bound is defined for beta >= 1, got {scale}")
-    farkas = _decide(pi, pi_prime, ((), LE, (scale,) * pi_prime.n_signals))
+    farkas = _decide(pi, pi_prime, scale)
     if isinstance(farkas, GarblingCertificate):
         return None
     farkas += ((Fraction(0),) * pi.n_states,)

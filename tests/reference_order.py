@@ -26,7 +26,9 @@ of the Blackwell program of the diluted pair.
 and ``size_interval`` are the bodies ``expord.order`` had before every psi
 decision solved its per-signal blocks first: each feasibility question
 solved the whole coupled program once, and ``size_interval`` maximized each
-column sum over the whole coupled program.
+column sum over the whole coupled program.  ``check_weighted`` with a cap
+still states the size-cap program, which ``expord.order`` no longer does:
+there the minimal size answers every cap.
 
 ``relax`` and ``falsify_bound`` are the bodies ``expord.order._relax`` and
 ``expord.value.falsify_bound`` had before the order module remembered the

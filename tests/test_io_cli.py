@@ -474,6 +474,18 @@ class TestValueCommands:
         )
         assert code == 0 and doc["holds"] is True
 
+    def test_bound_falsify_below_the_minimal_size_is_tight(self, files, capsys):
+        # The pair's minimal size is 3/2.  At beta 1 the problem comes from
+        # the minimal-size dual, so it meets the bound at 3/2 with slack 0.
+        code, doc = invoke(capsys, "bound-falsify", files["pi"], files["family_hi"], "--beta", "1")
+        assert code == 1 and doc["kind"] == "decision_problem"
+        path = files["dir"] / "falsifier.json"
+        path.write_text(docs.dump_document(doc))
+        code, report = invoke(
+            capsys, "bound-verify", str(path), files["pi"], files["family_hi"], "--beta", "3/2"
+        )
+        assert code == 0 and report["slack"] == "0" and report["holds"] is True
+
     def test_bound_falsify_unordered(self, files, capsys):
         code, doc = invoke(
             capsys, "bound-falsify", files["perfect"], files["uninf"], "--beta", "4"

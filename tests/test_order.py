@@ -45,7 +45,7 @@ from expord import (
 import expord.order as order_module
 from expord.order import _block, _decide
 from expord import numerics
-from expord.numerics import EQ, LE, dual_verifies, farkas_verifies
+from expord.numerics import LE, dual_verifies, farkas_verifies
 from expord.generators import (
     binary_symmetric,
     corpus_pairs,
@@ -123,12 +123,6 @@ class TestCheckBlackwell:
                     decide(pi, pi_prime)
 
 
-def blackwell_farkas(pi, pi_prime):
-    """The Farkas side of the Blackwell decision, or None when it holds."""
-    found = _decide(pi, pi_prime, ((), EQ, (F(1),) * pi_prime.n_signals))
-    return None if isinstance(found, GarblingCertificate) else found
-
-
 class TestBlackwellFarkas:
     PAIRS = [
         (binary_symmetric("3/5"), three_signal_family("4/5")),
@@ -139,12 +133,12 @@ class TestBlackwellFarkas:
 
     def test_none_exactly_when_blackwell_holds(self):
         for pi, pi_prime in self.PAIRS:
-            refuted = blackwell_farkas(pi, pi_prime) is not None
+            refuted = reference_order.blackwell_farkas(pi, pi_prime) is not None
             assert refuted == (check_blackwell(pi, pi_prime) is None)
 
     def test_table_is_signal_by_state(self):
         pi = perfect_experiment(2)
-        table = blackwell_farkas(pi, uninformative_experiment(2))
+        table = reference_order.blackwell_farkas(pi, uninformative_experiment(2))
         assert len(table) == pi.n_signals
         assert all(len(row) == pi.n_states for row in table)
         assert any(y != 0 for row in table for y in row)
@@ -662,27 +656,34 @@ class TestOneDecisionAgainstParentBodies:
         assert compared > 1000 and zero_weights > 100 and 0 < refused < compared
 
     def test_falsify_bound_on_every_pair(self, corpus):
-        # The falsifier exists exactly when the diluted pair's Blackwell
-        # program is infeasible, and its table, with the largest column
-        # multipliers, refutes that program.  Ordered pairs hold from their
-        # minimal size on, which gives the Blackwell side its cases; there
-        # the cap-beta table may differ from the diluted decision's.  Outside
-        # the order the first infeasible block refutes every size, with one
-        # Farkas row, and the problem is the one the diluted decision gave.
-        compared = refuted = outside = 0
+        # A cap holds exactly when it is at least the minimal size: the block
+        # points answer every cap they meet and the minimal witness the rest.
+        # The falsifier exists exactly when the cap fails, which is when the
+        # diluted pair's Blackwell program is infeasible, and its table, with
+        # the largest column multipliers, refutes that program.  Inside the
+        # order the table is the reproduction part of the minimal-size dual,
+        # which refutes the coupled cap program whole.  Outside the order the
+        # first infeasible block refutes every size, with one Farkas row, the
+        # diluted pair's first infeasible block's.
+        compared = refuted = inside = outside = 0
         for pi, _prior, pi_prime in corpus:
-            ordered = check_weighted(pi, pi_prime) is not None
+            blocks = check_weighted(pi, pi_prime)
             problems = []
-            for beta in (1, 2, 4, 8):
+            for beta in (F(1), F(3, 2), F(2), F(4), F(8)):
+                capped = check_weighted(pi, pi_prime, beta)
+                assert (capped is None) == (reference_order.check_weighted(pi, pi_prime, beta) is None)
+                if capped is not None:
+                    assert verify_certificate(capped) and capped.beta <= beta
+                    if blocks.beta <= beta:
+                        assert capped.psi == blocks.psi
+                    else:
+                        assert capped is size_interval(pi, pi_prime).witness_min
                 diluted = dilute(pi, beta)
                 expected = reference_order.blackwell_farkas(diluted, pi_prime)
-                table = blackwell_farkas(diluted, pi_prime)
-                if ordered:
-                    assert table == expected
                 problem = falsify_bound(pi, pi_prime, beta)
-                assert (problem is None) == (expected is None) == (table is None)
+                assert (problem is None) == (expected is None) == (capped is not None)
                 compared += 1
-                if table is None:
+                if expected is None:
                     continue
                 refuted += 1
                 program = reference_order.blackwell_program(diluted, pi_prime)
@@ -691,8 +692,17 @@ class TestOneDecisionAgainstParentBodies:
                 )
                 report = verify_bound(problem, pi, pi_prime, beta)
                 assert not report.holds
-                if ordered:
+                if blocks is not None:
+                    dual = size_interval(pi, pi_prime).dual_min
+                    cap = ((), LE, (beta,) * pi_prime.n_signals)
+                    assert farkas_verifies(reference_order.psi_program(pi, pi_prime, cap), dual)
+                    n = pi.n_states
+                    rows = tuple(tuple(dual[i * n : (i + 1) * n]) for i in range(pi.n_signals))
+                    assert _decide(pi, pi_prime, beta) == rows
+                    inside += 1
                     continue
+                feasible, table = reference_order.relax(diluted, pi_prime)
+                assert not feasible
                 scaled = [[y * pi.n_states for y in row] for row in table]
                 peak = max(1, max(abs(v) for row in scaled for v in row))
                 assert problem.payoffs == tuple(tuple(v / peak for v in row) for row in scaled)
@@ -700,11 +710,11 @@ class TestOneDecisionAgainstParentBodies:
                 assert farkas_verifies(program, _padded(table, pi_prime.n_signals))
                 assert report.value_prime == report.value_noinfo == 0 < report.value_pi / beta
                 problems.append(problem)
-            if not ordered:
-                assert len(problems) == 4 and all(p == problems[0] for p in problems)
+            if blocks is None:
+                assert len(problems) == 5 and all(p == problems[0] for p in problems)
                 outside += 1
-        assert compared == 2000 and 0 < refuted < compared and outside > 100
-
+        assert compared == 2500 and 0 < refuted < compared
+        assert inside > 20 and outside > 100
 
 # ----------------------------- the per-signal relaxation vs the coupled programs
 
@@ -720,14 +730,13 @@ class TestBlockRowRefutesTheLinkedPrograms:
         outside = 0
         for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
             n_sp = pi_prime.n_signals
-            table = _decide(pi, pi_prime, None)
+            table = _decide(pi, pi_prime)
             if isinstance(table, GarblingCertificate):
                 continue
             outside += 1
             assert sum(any(row) for row in table) == 1
             capped = ((), LE, (F(2),) * n_sp)
-            blackwell = ((), EQ, (F(1),) * n_sp)
-            assert _decide(pi, pi_prime, capped) == _decide(pi, pi_prime, blackwell) == table
+            assert _decide(pi, pi_prime, F(2)) == table
             lowest, _ = reference_order.size_interval_programs(pi, pi_prime, 0)
             for program in (
                 reference_order.psi_program(pi, pi_prime, capped),
@@ -799,9 +808,9 @@ class TestRelaxationAgainstCoupledBodies:
             assert (blackwell is None) == (coupled is None) == (interval.beta_min > 1)
             if blackwell is not None:
                 assert verify_certificate(blackwell) and set(blackwell.gamma) == {1}
-            assert _psi(check_weighted(pi, pi_prime, 2)) == _psi(
-                reference_order.check_weighted(pi, pi_prime, 2)
-            )
+            capped = check_weighted(pi, pi_prime, 2)
+            assert (capped is None) == (reference_order.check_weighted(pi, pi_prime, 2) is None)
+            assert capped is None or (verify_certificate(capped) and capped.beta <= 2)
             assert sized == (expected.beta_min, interval.witness_min)
             assert recovered == _recovery(
                 conditional, pi, reference_order.from_conditional_coupled

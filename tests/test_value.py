@@ -240,29 +240,46 @@ class TestFalsifyBound:
                 )
         assert outside > 400 and inside > 0
 
-    def test_one_capped_solve_in_the_order_and_none_outside(self, monkeypatch):
-        # The falsifier asks the program check_weighted(max_size=beta) states,
-        # on the undiluted pair, and nothing at all once the blocks refute.
+    def test_one_tight_problem_below_the_minimal_size(self):
+        # Below beta_min the table is the minimal-size dual's, whatever beta
+        # is, so one problem refutes every such beta and meets the bound at
+        # beta_min with slack exactly 0; from beta_min on the bound holds.
+        tight = 0
+        for pi, _prior, pi_prime in corpus_pairs(20250814, 500):
+            found = min_size(pi, pi_prime)
+            if found is None or found[0] == 1:
+                continue
+            lowest = found[0]
+            betas = (F(1), (1 + lowest) / 2, lowest, F(3, 2), F(2), F(4), F(8))
+            below = [falsify_bound(pi, pi_prime, beta) for beta in betas if beta < lowest]
+            assert len(below) >= 2 and all(problem == below[0] for problem in below)
+            assert verify_bound(below[0], pi, pi_prime, lowest).slack == 0
+            assert all(falsify_bound(pi, pi_prime, beta) is None for beta in betas if beta >= lowest)
+            tight += 1
+        assert tight > 10
+
+    def test_only_the_min_size_program_in_the_order_and_none_outside(self, monkeypatch):
+        # The falsifier asks the cap check_weighted(max_size=beta) asks, on
+        # the undiluted pair: past the blocks only the minimal-size program,
+        # with its bound t, at most once per pair, and nothing at all once
+        # the blocks refute.
         captured = spy_on_solves(monkeypatch)
-        seen = set()
+        seen, solved = set(), 0
         for pi, _prior, pi_prime in corpus_pairs(20250814, 40):
             ordered = check_weighted(pi, pi_prime) is not None
             n_s, n_sp = pi.n_signals, pi_prime.n_signals
+            del captured[:]
             for beta in (1, F(3, 2), 2, 8):
-                del captured[:]
                 falsify_bound(pi, pi_prime, beta)
-                if not ordered:
-                    assert captured == []
-                    continue
-                assert [(len(lp.rows), lp.n_variables) for lp in captured] == [
-                    (n_s * pi.n_states + n_sp, n_s * n_sp)
-                ]
+            shapes = [(len(lp.rows), lp.n_variables) for lp in captured]
+            assert shapes in ([], [(n_s * pi.n_states + n_sp, n_s * n_sp + 1)] * ordered)
+            solved += len(shapes)
             seen.add(ordered)
-        assert seen == {True, False}
+        assert seen == {True, False} and solved > 0
         # expord.value the attribute is the function, so name the module.
         module = vars(importlib.import_module("expord.value"))
         assert "falsify_bound" in module
-        assert not {"dilute", "_block", "_link", "_relax"} & set(module)
+        assert not {"dilute", "_block", "_link", "_relax", "LE"} & set(module)
 
 
 class TestRandomDecisionProblem:
